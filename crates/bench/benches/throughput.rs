@@ -63,25 +63,6 @@ fn throughput(c: &mut Criterion) {
             black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
-    g.bench_function("isl_tage_boxed_dyn", |b| {
-        // The same stack behind a bare `Box<dyn BranchPredictor>`: vtable
-        // dispatch plus one flight allocation per predicted branch — the
-        // "before" of the flight-arena change, kept as the baseline.
-        b.iter(|| {
-            let mut p: Box<dyn simkit::BranchPredictor> = Box::new(tage::TageSystem::isl_tage());
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
-        })
-    });
-    g.bench_function("isl_tage_dyn_pooled", |b| {
-        // The `DynPredictor` flight pool (the route trace mode uses):
-        // same vtable dispatch, flights recycled through reusable slots —
-        // the "after". The gap to `isl_tage_boxed_dyn` is the per-branch
-        // allocation cost; the gap to `isl_tage` is pure dyn dispatch.
-        b.iter(|| {
-            let mut p = simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
-        })
-    });
     g.bench_function("isl_tage_from_spec", |b| {
         // Spec-assembled chain, monomorphized (the sweep route): measures
         // the stage-chain walk against the preset constructor path.

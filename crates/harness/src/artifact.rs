@@ -14,11 +14,11 @@
 //! the main-thread-deterministic scheduler counters. Wall-clock timing
 //! ([`SchedulerStats::sim_busy_nanos`]) is deliberately excluded (it is
 //! console-only), so the same command emits byte-identical artifacts
-//! under `--threads 1` and `--threads 4`, batched or scalar. The
+//! under `--threads 1` and `--threads 4`, at any `--batch`. The
 //! `artifacts_are_byte_deterministic` integration test pins this.
 //!
-//! Serialization is the repo's hand-rolled JSON path (the vendored serde
-//! is a no-op stand-in): a fixed-field-order writer plus a minimal
+//! Serialization is the repo's hand-rolled, dependency-free JSON path:
+//! a fixed-field-order writer plus a minimal
 //! recursive-descent parser covering exactly the subset the writer emits
 //! (objects, arrays, strings, unsigned integers, null).
 

@@ -7,7 +7,7 @@
 //! tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp budgets
-//! tage_exp trace <file...> [--threads N] [--batch auto|0|N]
+//! tage_exp trace <file...> [--threads N] [--batch auto|N]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]
 //! ```
@@ -47,7 +47,7 @@ use harness::sample_mode::{self, SampleOptions};
 use harness::spec::PAPER_BUDGET_BITS;
 use harness::{trace_mode, ExpContext, ExpOptions, PredictorSpec, Table};
 use pipeline::SuiteReport;
-use simkit::{Predictor, UpdateScenario};
+use simkit::UpdateScenario;
 use std::path::{Path, PathBuf};
 use workloads::suite::{Scale, HARD_TRACES};
 
@@ -271,10 +271,10 @@ fn print_usage() {
     println!("                [--threads N] [--stream] [--list]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]");
-    println!("                [--trace FILE]... [--batch auto|0|N]");
+    println!("                [--trace FILE]... [--batch auto|N]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp budgets");
-    println!("       tage_exp trace <file...> [--threads N] [--batch auto|0|N]");
+    println!("       tage_exp trace <file...> [--threads N] [--batch auto|N]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp sample <file...> [--phases N] [--warmup W] [--measure M]");
     println!("                [--seed S] [--spec SPEC]... [--full-check PCT]");
@@ -304,7 +304,11 @@ fn print_usage() {
     println!("  trace <file...>  run the predictor matrix over external trace files");
     println!("                   (.ttr / .ttr3 / cbp / csv, format autodetected)");
     println!("  --batch N        trace mode: events decoded per engine dispatch");
-    println!("                   (auto: {}; 0: the scalar reference route)", pipeline::DEFAULT_BATCH);
+    println!(
+        "                   (auto: {}; 1..={}; never changes a result)",
+        pipeline::DEFAULT_BATCH,
+        pipeline::MAX_BATCH
+    );
     println!("  sample <file...> sampled simulation: fixed-interval warmup/measure");
     println!("                   slices, one pool job per (spec x slice), weighted");
     println!("                   whole-trace MPPKI estimate (defaults: 8 phases,");
@@ -349,21 +353,13 @@ fn system_mode(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            eprintln!(
-                                "--batch expects 'auto', 0 (scalar) or a block size (got '{v}')"
-                            );
-                            return 2;
-                        }
-                    },
-                };
-            }
+            "--batch" => match pipeline::parse_batch(it.next().map_or("", String::as_str)) {
+                Ok(n) => batch = n,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return 2;
+                }
+            },
             "--branch-stats" => branch_stats = true,
             "--top" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
@@ -458,10 +454,10 @@ fn system_mode(args: &[String]) -> i32 {
     );
     for spec in &specs {
         let suite = ctx.run_spec(spec, scenario);
-        let built = spec.build().expect("spec validated at parse");
+        let built = spec.build_engine(scenario, &ctx.cfg).expect("spec validated at parse");
         t.row(vec![
             spec.to_string(),
-            built.name(),
+            built.predictor_name(),
             (built.storage_bits() / 1024).to_string(),
             format!("{:.1}", suite.mppki()),
             format!("{:.1}", suite.mppki_of(&HARD_TRACES)),
@@ -500,7 +496,7 @@ fn system_trace_files(
         "# tage_exp system: {} spec(s) over {} external trace file(s), scenario {scenario}, batch {}",
         specs.len(),
         files.len(),
-        if batch == 0 { "scalar".to_string() } else { batch.to_string() }
+        batch
     );
     let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
     let mut t = Table::new(
@@ -561,6 +557,7 @@ fn budgets_mode() -> i32 {
     for (name, spec_str) in tage::PRESETS {
         let spec = tage::SystemSpec::preset(name).expect("preset table entry");
         let stack = spec.build().expect("presets build");
+        let total = PredictorSpec::Stack(spec).storage_bits().expect("presets build");
         for (component, bits) in stack.budget() {
             t.row(vec![
                 name.to_string(),
@@ -574,8 +571,8 @@ fn budgets_mode() -> i32 {
             name.to_string(),
             spec_str.to_string(),
             "TOTAL".into(),
-            stack.storage_bits().to_string(),
-            format!("{:.1}", stack.storage_bits() as f64 / 1024.0),
+            total.to_string(),
+            format!("{:.1}", total as f64 / 1024.0),
         ]);
     }
     t.print();
@@ -585,9 +582,8 @@ fn budgets_mode() -> i32 {
         &["preset", "measured bits", "paper bits", "delta"],
     );
     for (name, paper_bits) in PAPER_BUDGET_BITS {
-        let stack =
-            tage::SystemSpec::preset(name).expect("audited preset exists").build().unwrap();
-        let measured = stack.storage_bits();
+        let spec = tage::SystemSpec::preset(name).expect("audited preset exists");
+        let measured = PredictorSpec::Stack(spec).storage_bits().expect("presets build");
         let delta = measured as f64 / *paper_bits as f64 - 1.0;
         audit.row(vec![
             name.to_string(),
@@ -642,19 +638,13 @@ fn trace_files_mode(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            eprintln!("--batch expects 'auto', 0 (scalar) or a block size (got '{v}')");
-                            return 2;
-                        }
-                    },
-                };
-            }
+            "--batch" => match pipeline::parse_batch(it.next().map_or("", String::as_str)) {
+                Ok(n) => batch = n,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return 2;
+                }
+            },
             "--help" | "-h" => {
                 print_usage();
                 return 0;
@@ -675,7 +665,7 @@ fn trace_files_mode(args: &[String]) -> i32 {
     println!(
         "# tage_exp trace: {} file(s), batch {}, predictors: {}",
         files.len(),
-        if batch == 0 { "scalar".to_string() } else { batch.to_string() },
+        batch,
         trace_mode::MATRIX.map(|(name, _)| name).join(", ")
     );
     let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
@@ -773,19 +763,13 @@ fn sample_files_mode(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                opts.batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => {
-                            eprintln!("--batch expects 'auto' or a block size (got '{v}')");
-                            return 2;
-                        }
-                    },
-                };
-            }
+            "--batch" => match pipeline::parse_batch(it.next().map_or("", String::as_str)) {
+                Ok(n) => opts.batch = n,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return 2;
+                }
+            },
             "--full-check" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
                 match v.parse::<f64>() {

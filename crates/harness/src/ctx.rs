@@ -13,15 +13,15 @@
 //!   `streamed_suite_matches_materialized_bit_for_bit` test pins this),
 //!   at the price of per-job regeneration — worth it above `Scale::Full`.
 
-use crate::runner::{SchedulerStats, SuiteRunner};
+use crate::runner::{SchedulerStats, SuiteRunner, SuiteSource};
 use crate::spec::PredictorSpec;
-use pipeline::{PipelineConfig, SuiteReport};
+use pipeline::{BlockSim, PipelineConfig, SuiteReport, WindowEngine};
 use simkit::predictor::{Predictor, UpdateScenario};
 use std::sync::Arc;
 use workloads::event::{EventSource, TraceStream};
 use workloads::io::TraceCache;
 use workloads::suite::{generate_parallel, suite, Scale};
-use workloads::{Trace, TraceSpec, TraceStats};
+use workloads::{Trace, TraceStats};
 
 /// Construction options for [`ExpContext`].
 #[derive(Clone, Debug, Default)]
@@ -55,47 +55,6 @@ impl ExpOptions {
             branch_stats: false,
         }
     }
-}
-
-/// Expands to a `(label, make-closure)` scheduler call for every
-/// [`PredictorSpec`] arm, so each predictor family keeps its own
-/// monomorphized simulation path (no per-branch flight boxing on the
-/// sweep hot loops).
-macro_rules! dispatch_spec {
-    ($self:ident, $method:ident, $label:expr, $spec:expr, $scenario:expr) => {
-        match $spec {
-            PredictorSpec::Stack(s) => {
-                let s = s.clone();
-                // INVARIANT: every spec reaching dispatch parsed and
-                // validated in PredictorSpec::parse.
-                $self.$method($label, move || s.build().expect("spec validated upstream"), $scenario)
-            }
-            PredictorSpec::Gshare { index_bits: None } => {
-                $self.$method($label, baselines::Gshare::cbp_512k, $scenario)
-            }
-            PredictorSpec::Gshare { index_bits: Some(bits) } => {
-                let bits = *bits;
-                $self.$method($label, move || baselines::Gshare::new(bits), $scenario)
-            }
-            PredictorSpec::Gehl520k => $self.$method($label, baselines::Gehl::cbp_520k, $scenario),
-            PredictorSpec::Bimodal { entries, ctr_bits } => {
-                let (entries, ctr_bits) = (*entries, *ctr_bits);
-                $self.$method($label, move || baselines::Bimodal::new(entries, ctr_bits), $scenario)
-            }
-            PredictorSpec::Perceptron { rows, hist } => {
-                let (rows, hist) = (*rows, *hist);
-                $self.$method($label, move || baselines::Perceptron::new(rows, hist), $scenario)
-            }
-            PredictorSpec::Snap512k => $self.$method($label, baselines::Snap::cbp_512k, $scenario),
-            PredictorSpec::Ftl512k => $self.$method($label, baselines::Ftl::cbp_512k, $scenario),
-        }
-    };
-}
-
-/// How the suite is held — see the module docs.
-enum SuiteSource {
-    Materialized(Arc<Vec<Trace>>),
-    Streamed(Arc<Vec<TraceSpec>>),
 }
 
 /// Everything an experiment needs: the 40-trace suite (materialized or
@@ -139,10 +98,7 @@ impl ExpContext {
 
     /// Number of traces in the suite.
     pub fn trace_count(&self) -> usize {
-        match &self.source {
-            SuiteSource::Materialized(ts) => ts.len(),
-            SuiteSource::Streamed(specs) => specs.len(),
-        }
+        self.source.trace_count()
     }
 
     /// The materialized traces, when not in stream mode (equivalence
@@ -203,83 +159,56 @@ impl ExpContext {
 
     /// Runs a predictor (one cold instance per trace) over the whole
     /// suite, one scheduler job per trace. Not memoized — see
-    /// [`ExpContext::run_cached`].
+    /// [`ExpContext::run_spec`].
     pub fn run<P, F>(&self, make: F, scenario: UpdateScenario) -> SuiteReport
     where
-        P: Predictor + Send + 'static,
+        P: Predictor + 'static,
         F: Fn() -> P + Send + Sync + 'static,
     {
-        match &self.source {
-            SuiteSource::Materialized(ts) => self.runner.run_suite(ts, &self.cfg, make, scenario),
-            SuiteSource::Streamed(specs) => {
-                self.runner.run_suite_streamed(specs, &self.cfg, make, scenario)
-            }
-        }
-    }
-
-    /// Like [`ExpContext::run`], memoized by `(label, scenario, pipeline
-    /// config)`: duplicate requests across experiments are served from
-    /// cache. `label` must uniquely identify the configuration `make`
-    /// builds.
-    pub fn run_cached<P, F>(&self, label: &str, make: F, scenario: UpdateScenario) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        match &self.source {
-            SuiteSource::Materialized(ts) => {
-                self.runner.run_suite_cached(label, ts, &self.cfg, make, scenario)
-            }
-            SuiteSource::Streamed(specs) => {
-                self.runner.run_suite_streamed_cached(label, specs, &self.cfg, make, scenario)
-            }
-        }
-    }
-
-    /// Like [`ExpContext::run_cached`] but eager: submits the suite's
-    /// jobs to the pool and returns immediately. No-op when the suite is
-    /// already cached or in flight. A later `run_cached`/`run_spec` with
-    /// the same label collects the results.
-    pub fn prefetch_cached<P, F>(&self, label: &str, make: F, scenario: UpdateScenario)
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        match &self.source {
-            SuiteSource::Materialized(ts) => {
-                self.runner.prefetch_suite_cached(label, ts, &self.cfg, make, scenario);
-            }
-            SuiteSource::Streamed(specs) => {
-                self.runner.prefetch_suite_streamed_cached(label, specs, &self.cfg, make, scenario);
-            }
-        }
+        let cfg = self.cfg.clone();
+        self.runner.run_suite(&self.source, move || {
+            Box::new(WindowEngine::new(make(), scenario, &cfg)) as Box<dyn BlockSim>
+        })
     }
 
     /// Runs a declarative [`PredictorSpec`] over the suite, memoized by
     /// [`PredictorSpec::sim_key`] — the canonical string minus the
     /// display-only label — so two rows share a cached suite exactly
-    /// when they simulate the same composition. Stack and baseline arms
-    /// dispatch to monomorphized simulation paths — the boxed
-    /// [`simkit::BranchPredictor`] route is reserved for genuinely
-    /// dynamic callers (trace mode, `tage_exp system`).
+    /// when they simulate the same composition. Duplicate requests
+    /// across experiments are served from cache.
     ///
     /// # Panics
     ///
     /// Panics if the spec fails to build — validate specs before handing
     /// them to the scheduler.
     pub fn run_spec(&self, spec: &PredictorSpec, scenario: UpdateScenario) -> SuiteReport {
-        let label = spec.sim_key();
-        dispatch_spec!(self, run_cached, &label, spec, scenario)
+        let make = self.engines(spec, scenario);
+        self.runner.run_suite_cached(&spec.sim_key(), scenario, &self.cfg, &self.source, make)
     }
 
-    /// Eager twin of [`ExpContext::run_spec`]: submit now, collect later.
+    /// Eager twin of [`ExpContext::run_spec`]: submits the suite's jobs
+    /// to the pool and returns immediately. No-op when the suite is
+    /// already cached or in flight; a later `run_spec` collects it.
     ///
     /// # Panics
     ///
     /// Panics if the spec fails to build.
     pub fn prefetch_spec(&self, spec: &PredictorSpec, scenario: UpdateScenario) {
-        let label = spec.sim_key();
-        dispatch_spec!(self, prefetch_cached, &label, spec, scenario)
+        let make = self.engines(spec, scenario);
+        self.runner.prefetch_suite_cached(&spec.sim_key(), scenario, &self.cfg, &self.source, make);
+    }
+
+    /// The per-trace engine factory of a spec under this context's
+    /// pipeline configuration.
+    fn engines(
+        &self,
+        spec: &PredictorSpec,
+        scenario: UpdateScenario,
+    ) -> impl Fn() -> Box<dyn BlockSim> + Send + Sync + 'static {
+        let (spec, cfg) = (spec.clone(), self.cfg.clone());
+        // INVARIANT: every spec reaching the scheduler parsed and
+        // validated in PredictorSpec::parse.
+        move || spec.build_engine(scenario, &cfg).expect("spec validated upstream")
     }
 
     /// Scheduler counters (jobs run vs requested, memo hits).
@@ -331,8 +260,9 @@ mod tests {
             Scale::Tiny,
             ExpOptions { threads: Some(2), ..Default::default() },
         );
-        let a = ctx.run_cached("gshare-12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
-        let b = ctx.run_cached("gshare-12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
+        let gshare = PredictorSpec::parse("gshare:12").unwrap();
+        let a = ctx.run_spec(&gshare, UpdateScenario::FetchOnly);
+        let b = ctx.run_spec(&gshare, UpdateScenario::FetchOnly);
         assert_eq!(a.reports, b.reports);
         let s = ctx.scheduler_stats();
         assert_eq!(s.sim_jobs_run, 40);
@@ -373,10 +303,9 @@ mod tests {
         let a = materialized.run(|| baselines::Gshare::new(12), UpdateScenario::RereadAtRetire);
         let b = streamed.run(|| baselines::Gshare::new(12), UpdateScenario::RereadAtRetire);
         assert_eq!(a.reports, b.reports, "stream mode must be bit-identical");
-        let ac = materialized
-            .run_cached("g12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
-        let bc =
-            streamed.run_cached("g12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
+        let gshare = PredictorSpec::parse("gshare:12").unwrap();
+        let ac = materialized.run_spec(&gshare, UpdateScenario::FetchOnly);
+        let bc = streamed.run_spec(&gshare, UpdateScenario::FetchOnly);
         assert_eq!(ac.reports, bc.reports);
     }
 

@@ -23,9 +23,8 @@ use crate::table::{f1, f2, pct, Table};
 use pipeline::SuiteReport;
 use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use std::fmt::Write as _;
-use tage::{SystemSpec, Tage};
+use tage::{classify, Confidence, ConfidenceStats, SystemSpec, Tage, TageFlight};
 use workloads::suite::HARD_TRACES;
-use workloads::EventSource;
 
 /// All experiment ids, in paper order (the last two are extensions: the
 /// §8-cited storage-free confidence classes and the provider-internal
@@ -830,23 +829,13 @@ fn e13_cost_eff(_ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) {
 /// its providing counter strength and report accuracy per class over the
 /// whole suite.
 fn e14_confidence(ctx: &ExpContext, _reports: &[SuiteReport], out: &mut String) {
-    use tage::confidence::{classify, Confidence, ConfidenceStats};
     let mut stats = ConfidenceStats::default();
     for i in 0..ctx.trace_count() {
+        let tage = Tage::reference_64kb();
+        let mut probe = ConfidenceProbe { tage, stats: &mut stats, last: (false, Confidence::Low) };
         // Event sources work in both materialized and streamed modes.
         let mut src = ctx.source_at(i);
-        let mut p = Tage::reference_64kb();
-        while let Some(ev) = src.next_event() {
-            let b = ev.branch_info();
-            if !b.kind.is_conditional() {
-                p.note_uncond(&b);
-                continue;
-            }
-            let (pred, mut f) = p.predict(&b);
-            stats.record(classify(&f), pred == ev.taken);
-            p.fetch_commit(&b, ev.taken, &mut f);
-            p.retire(&b, ev.taken, pred, f, UpdateScenario::Immediate);
-        }
+        pipeline::simulate_source(&mut probe, &mut src, UpdateScenario::Immediate, &ctx.cfg);
     }
     let mut t = Table::new(
         "E14 (extension, §8 cite [25]) Storage-free confidence, reference TAGE",
@@ -863,6 +852,65 @@ fn e14_confidence(ctx: &ExpContext, _reports: &[SuiteReport], out: &mut String) 
     let _ = writeln!(out, "(HPCA-2011 shape: accuracy strictly ordered High > Medium > Low,");
     let _ = writeln!(out, " with High covering the bulk of predictions — the provider");
     let _ = writeln!(out, " counter value is a free confidence signal)");
+}
+
+/// The reference TAGE, tallying accuracy by confidence class: the class
+/// is read from the flight at predict time and scored against the
+/// outcome the pipeline commits right after.
+struct ConfidenceProbe<'a> {
+    tage: Tage,
+    stats: &'a mut ConfidenceStats,
+    last: (bool, Confidence),
+}
+
+impl Predictor for ConfidenceProbe<'_> {
+    type Flight = TageFlight;
+
+    fn name(&self) -> String {
+        self.tage.name()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.tage.storage_bits()
+    }
+
+    fn predict(&mut self, b: &BranchInfo) -> (bool, Self::Flight) {
+        let (pred, f) = self.tage.predict(b);
+        self.last = (pred, classify(&f));
+        (pred, f)
+    }
+
+    fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, flight: &mut Self::Flight) {
+        self.stats.record(self.last.1, self.last.0 == outcome);
+        self.tage.fetch_commit(b, outcome, flight);
+    }
+
+    fn execute(&mut self, b: &BranchInfo, outcome: bool, flight: &mut Self::Flight) {
+        self.tage.execute(b, outcome, flight);
+    }
+
+    fn retire(
+        &mut self,
+        b: &BranchInfo,
+        outcome: bool,
+        predicted: bool,
+        flight: Self::Flight,
+        scenario: UpdateScenario,
+    ) {
+        self.tage.retire(b, outcome, predicted, flight, scenario);
+    }
+
+    fn note_uncond(&mut self, b: &BranchInfo) {
+        self.tage.note_uncond(b);
+    }
+
+    fn stats(&self) -> simkit::AccessStats {
+        self.tage.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.tage.reset_stats();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -22,12 +22,12 @@
 //!   in-flight [`Batch`] in a pending map; the first consumer waits on it
 //!   and promotes the result into the memo cache.
 
-use pipeline::{simulate, simulate_source, PipelineConfig, SimReport, SuiteReport};
-use simkit::predictor::{Predictor, UpdateScenario};
+use pipeline::{BlockSim, ChunkDriver, PipelineConfig, SimReport, SuiteReport, DEFAULT_BATCH};
+use simkit::predictor::UpdateScenario;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use workloads::{Trace, TraceSpec};
+use workloads::{Trace, TraceSpec, TraceStream};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -261,6 +261,42 @@ impl SchedulerStats {
     }
 }
 
+/// The traces a suite run simulates.
+///
+/// * **materialized** — generated once up front and shared with every
+///   job;
+/// * **streamed** — only the recipes are kept; each job regenerates its
+///   trace lazily through [`TraceSpec::stream`], so suite memory stays
+///   bounded by the in-flight windows (per-job regeneration is the
+///   price). `ProgramStream` and `Program::generate` emit the same
+///   events by construction, so the reports are bit-identical.
+#[derive(Clone)]
+pub enum SuiteSource {
+    /// Generated traces, shared by every job.
+    Materialized(Arc<Vec<Trace>>),
+    /// Trace recipes, regenerated inside each job.
+    Streamed(Arc<Vec<TraceSpec>>),
+}
+
+impl SuiteSource {
+    /// Number of traces in the suite.
+    pub fn trace_count(&self) -> usize {
+        match self {
+            SuiteSource::Materialized(ts) => ts.len(),
+            SuiteSource::Streamed(specs) => specs.len(),
+        }
+    }
+
+    /// Runs `engine` over trace `i` to the end.
+    fn simulate(&self, i: usize, engine: &mut dyn BlockSim) -> SimReport {
+        let driver = ChunkDriver::new(DEFAULT_BATCH);
+        match self {
+            SuiteSource::Materialized(ts) => driver.run(engine, &mut TraceStream::new(&ts[i])),
+            SuiteSource::Streamed(specs) => driver.run(engine, &mut specs[i].stream()),
+        }
+    }
+}
+
 type SuiteKey = (String, UpdateScenario, u64);
 
 /// Deduplicating parallel suite scheduler: a persistent [`WorkerPool`]
@@ -313,20 +349,14 @@ impl SuiteRunner {
         }
     }
 
-    /// Submits one simulate job per trace and returns the in-flight batch
+    /// Submits one simulate job per trace — a fresh `make()` engine run
+    /// to the end over that trace — and returns the in-flight batch
     /// without waiting.
-    fn submit_suite<P, F>(
-        &self,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> Arc<Batch<SimReport>>
+    fn submit_suite<F>(&self, suite: &SuiteSource, make: F) -> Arc<Batch<SimReport>>
     where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
+        F: Fn() -> Box<dyn BlockSim> + Send + Sync + 'static,
     {
-        let n = traces.len();
+        let n = suite.trace_count();
         // ORDERING: statistics only (see `stats`); the jobs themselves
         // synchronize through the queue mutex and batch condvar.
         self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
@@ -335,88 +365,24 @@ impl SuiteRunner {
         let batch = Batch::new(n);
         for i in 0..n {
             let make = Arc::clone(&make);
-            let traces = Arc::clone(traces);
+            let suite = suite.clone();
             let batch = Arc::clone(&batch);
-            let cfg = cfg.clone();
             let busy = Arc::clone(&self.sim_busy_nanos);
             self.pool.submit(Box::new(move || {
-                batch.run(i, || timed(&busy, || simulate(&mut make(), &traces[i], scenario, &cfg)));
+                batch.run(i, || timed(&busy, || suite.simulate(i, &mut *make())));
             }));
         }
         batch
     }
 
-    /// Simulates a fresh `make()` predictor over every trace, one pool job
+    /// Simulates a fresh `make()` engine over every trace, one pool job
     /// per trace, returning reports in suite order. Never consults the
     /// memo cache.
-    pub fn run_suite<P, F>(
-        &self,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
+    pub fn run_suite<F>(&self, suite: &SuiteSource, make: F) -> SuiteReport
     where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
+        F: Fn() -> Box<dyn BlockSim> + Send + Sync + 'static,
     {
-        SuiteReport::new(self.submit_suite(traces, cfg, make, scenario).wait())
-    }
-
-    /// Streaming twin of [`SuiteRunner::run_suite`]: each pool job
-    /// regenerates its trace through [`TraceSpec::stream`] instead of
-    /// reading a materialized `Vec<Trace>`, so suite memory stays bounded
-    /// by the in-flight windows (per-job regeneration is the price).
-    /// Bit-identical to the materialized path — `ProgramStream` and
-    /// `Program::generate` emit the same events by construction.
-    pub fn run_suite_streamed<P, F>(
-        &self,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        SuiteReport::new(self.submit_suite_streamed(specs, cfg, make, scenario).wait())
-    }
-
-    /// Streaming twin of [`SuiteRunner::submit_suite`].
-    fn submit_suite_streamed<P, F>(
-        &self,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> Arc<Batch<SimReport>>
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        let n = specs.len();
-        // ORDERING: statistics only (see `stats`); the jobs themselves
-        // synchronize through the queue mutex and batch condvar.
-        self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        self.sim_jobs_run.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        let make = Arc::new(make);
-        let batch = Batch::new(n);
-        for i in 0..n {
-            let make = Arc::clone(&make);
-            let specs = Arc::clone(specs);
-            let batch = Arc::clone(&batch);
-            let cfg = cfg.clone();
-            let busy = Arc::clone(&self.sim_busy_nanos);
-            self.pool.submit(Box::new(move || {
-                batch.run(i, || {
-                    timed(&busy, || {
-                        simulate_source(&mut make(), &mut specs[i].stream(), scenario, &cfg)
-                    })
-                });
-            }));
-        }
-        batch
+        SuiteReport::new(self.submit_suite(suite, make).wait())
     }
 
     /// Memoizes `compute` by `(label, scenario, config)`: the first
@@ -429,7 +395,7 @@ impl SuiteRunner {
     /// label would wrongly share results (`Predictor::name` is *not* used
     /// precisely because distinct configurations can render the same
     /// name).
-    pub fn cached_suite(
+    fn cached_suite(
         &self,
         label: &str,
         scenario: UpdateScenario,
@@ -460,7 +426,7 @@ impl SuiteRunner {
 
     /// Eagerly submits a suite's jobs without waiting for the results.
     /// No-op when the suite is already cached or already in flight; the
-    /// first later `run_suite_*_cached` call with the same key consumes
+    /// first later `run_suite_cached` call with the same key consumes
     /// the in-flight batch. This is what lets `tage_exp all` overlap
     /// independent experiments' suites on the pool.
     fn prefetch_with(
@@ -483,82 +449,57 @@ impl SuiteRunner {
 
     /// [`SuiteRunner::run_suite_cached`]'s eager half: submit now, let a
     /// later call collect.
-    pub fn prefetch_suite_cached<P, F>(
+    pub fn prefetch_suite_cached<F>(
         &self,
         label: &str,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
         scenario: UpdateScenario,
+        cfg: &PipelineConfig,
+        suite: &SuiteSource,
+        make: F,
     ) where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
+        F: Fn() -> Box<dyn BlockSim> + Send + Sync + 'static,
     {
-        self.prefetch_with(label, scenario, cfg, || self.submit_suite(traces, cfg, make, scenario));
+        self.prefetch_with(label, scenario, cfg, || self.submit_suite(suite, make));
     }
 
-    /// [`SuiteRunner::run_suite_streamed_cached`]'s eager half.
-    pub fn prefetch_suite_streamed_cached<P, F>(
+    /// [`SuiteRunner::run_suite`] through the memo cache, keyed by
+    /// `(label, scenario, cfg)`: the engines `make` builds must simulate
+    /// exactly that configuration.
+    pub fn run_suite_cached<F>(
         &self,
         label: &str,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
         scenario: UpdateScenario,
-    ) where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.prefetch_with(label, scenario, cfg, || {
-            self.submit_suite_streamed(specs, cfg, make, scenario)
-        });
-    }
-
-    /// [`SuiteRunner::run_suite`] through the memo cache.
-    pub fn run_suite_cached<P, F>(
-        &self,
-        label: &str,
-        traces: &Arc<Vec<Trace>>,
         cfg: &PipelineConfig,
+        suite: &SuiteSource,
         make: F,
-        scenario: UpdateScenario,
     ) -> SuiteReport
     where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
+        F: Fn() -> Box<dyn BlockSim> + Send + Sync + 'static,
     {
-        self.cached_suite(label, scenario, cfg, traces.len(), || {
-            self.run_suite(traces, cfg, make, scenario)
-        })
-    }
-
-    /// [`SuiteRunner::run_suite_streamed`] through the memo cache.
-    pub fn run_suite_streamed_cached<P, F>(
-        &self,
-        label: &str,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.cached_suite(label, scenario, cfg, specs.len(), || {
-            self.run_suite_streamed(specs, cfg, make, scenario)
-        })
+        self.cached_suite(label, scenario, cfg, suite.trace_count(), || self.run_suite(suite, make))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::SimReport;
+    use pipeline::{simulate, WindowEngine};
     use workloads::suite::{generate_parallel, Scale};
 
     fn tiny_traces() -> Arc<Vec<Trace>> {
         Arc::new(generate_parallel(Scale::Tiny, None, None))
+    }
+
+    fn tiny_specs() -> SuiteSource {
+        SuiteSource::Streamed(Arc::new(workloads::suite::suite(Scale::Tiny)))
+    }
+
+    /// An engine factory for a baseline predictor under `scenario`.
+    fn engines<P: simkit::Predictor + 'static>(
+        make: fn() -> P,
+        scenario: UpdateScenario,
+    ) -> impl Fn() -> Box<dyn BlockSim> + Send + Sync + 'static {
+        move || Box::new(WindowEngine::new(make(), scenario, &PipelineConfig::default()))
     }
 
     #[test]
@@ -609,27 +550,19 @@ mod tests {
     #[test]
     fn memoized_suite_is_computed_once() {
         let runner = SuiteRunner::new(Some(2));
-        let traces = tiny_traces();
+        let traces = SuiteSource::Materialized(tiny_traces());
         let cfg = PipelineConfig::default();
-        let a = runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::RereadAtRetire,
-        );
+        let bimodal = || baselines::Bimodal::new(4096, 2);
+        let scenario = UpdateScenario::RereadAtRetire;
+        let label = "bimodal-test";
+        let run = |sc| runner.run_suite_cached(label, sc, &cfg, &traces, engines(bimodal, sc));
+        let a = run(scenario);
         let stats = runner.stats();
         assert_eq!(stats.sim_jobs_run, 40);
         assert_eq!(stats.suite_memo_hits, 0);
         assert!(stats.sim_busy_nanos > 0, "job timing must accumulate");
         let busy_after_run = stats.sim_busy_nanos;
-        let b = runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::RereadAtRetire,
-        );
+        let b = run(scenario);
         let stats = runner.stats();
         assert_eq!(stats.sim_jobs_run, 40, "duplicate suite must not re-simulate");
         assert_eq!(stats.sim_jobs_requested, 80);
@@ -639,13 +572,7 @@ mod tests {
         assert!(stats.busy_seconds() > 0.0);
         assert_eq!(a.reports, b.reports);
         // A different scenario is a different key.
-        runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::FetchOnly,
-        );
+        run(UpdateScenario::FetchOnly);
         assert_eq!(runner.stats().sim_jobs_run, 80);
     }
 
@@ -655,43 +582,23 @@ mod tests {
         // ProgramStream regeneration must reproduce the materialized
         // suite's reports exactly, table for table.
         let runner = SuiteRunner::new(Some(3));
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let traces = tiny_traces();
-        let cfg = PipelineConfig::default();
-        let streamed = runner.run_suite_streamed(
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(11),
-            UpdateScenario::RereadAtRetire,
-        );
-        let materialized = runner.run_suite(
-            &traces,
-            &cfg,
-            || baselines::Gshare::new(11),
-            UpdateScenario::RereadAtRetire,
-        );
+        let gshare = || baselines::Gshare::new(11);
+        let scenario = UpdateScenario::RereadAtRetire;
+        let streamed = runner.run_suite(&tiny_specs(), engines(gshare, scenario));
+        let materialized =
+            runner.run_suite(&SuiteSource::Materialized(tiny_traces()), engines(gshare, scenario));
         assert_eq!(streamed.reports, materialized.reports);
     }
 
     #[test]
     fn streamed_cached_suite_dedupes() {
         let runner = SuiteRunner::new(Some(2));
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
+        let specs = tiny_specs();
         let cfg = PipelineConfig::default();
-        let a = runner.run_suite_streamed_cached(
-            "gshare-10s",
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::FetchOnly,
-        );
-        let b = runner.run_suite_streamed_cached(
-            "gshare-10s",
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::FetchOnly,
-        );
+        let gshare = || baselines::Gshare::new(10);
+        let sc = UpdateScenario::FetchOnly;
+        let run = || runner.run_suite_cached("gshare-10s", sc, &cfg, &specs, engines(gshare, sc));
+        let (a, b) = (run(), run());
         assert_eq!(a.reports, b.reports);
         let s = runner.stats();
         assert_eq!(s.sim_jobs_run, 40);
@@ -702,40 +609,40 @@ mod tests {
     #[test]
     fn prefetched_suite_is_consumed_not_recomputed() {
         let runner = SuiteRunner::new(Some(2));
-        let traces = tiny_traces();
+        let traces = SuiteSource::Materialized(tiny_traces());
         let cfg = PipelineConfig::default();
-        let make = || baselines::Gshare::new(11);
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        let sc = UpdateScenario::FetchOnly;
+        let make = || engines(|| baselines::Gshare::new(11), sc);
+        runner.prefetch_suite_cached("g11", sc, &cfg, &traces, make());
         // A duplicate prefetch of an in-flight suite is a no-op.
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        runner.prefetch_suite_cached("g11", sc, &cfg, &traces, make());
         assert_eq!(runner.stats().sim_jobs_run, 40, "prefetch submits exactly once");
         // The first cached request consumes the in-flight batch.
-        let a = runner.run_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        let a = runner.run_suite_cached("g11", sc, &cfg, &traces, make());
         assert_eq!(runner.stats().sim_jobs_run, 40, "consume must not re-simulate");
         assert_eq!(runner.stats().suite_memo_hits, 0);
         // The second hits the promoted memo entry.
-        let b = runner.run_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        let b = runner.run_suite_cached("g11", sc, &cfg, &traces, make());
         assert_eq!(runner.stats().suite_memo_hits, 1);
         assert_eq!(a.reports, b.reports);
         // Prefetching an already-cached suite is a no-op too.
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        runner.prefetch_suite_cached("g11", sc, &cfg, &traces, make());
         assert_eq!(runner.stats().sim_jobs_run, 40);
         // And the result is bit-identical to an uncached direct run.
-        let direct = runner.run_suite(&traces, &cfg, make, UpdateScenario::FetchOnly);
+        let direct = runner.run_suite(&traces, make());
         assert_eq!(a.reports, direct.reports);
     }
 
     #[test]
     fn streamed_prefetch_matches_materialized() {
         let runner = SuiteRunner::new(Some(2));
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let traces = tiny_traces();
+        let specs = tiny_specs();
         let cfg = PipelineConfig::default();
-        let make = || baselines::Gshare::new(12);
-        runner.prefetch_suite_streamed_cached("g12s", &specs, &cfg, make, UpdateScenario::FetchOnly);
-        let streamed =
-            runner.run_suite_streamed_cached("g12s", &specs, &cfg, make, UpdateScenario::FetchOnly);
-        let materialized = runner.run_suite(&traces, &cfg, make, UpdateScenario::FetchOnly);
+        let sc = UpdateScenario::FetchOnly;
+        let make = || engines(|| baselines::Gshare::new(12), sc);
+        runner.prefetch_suite_cached("g12s", sc, &cfg, &specs, make());
+        let streamed = runner.run_suite_cached("g12s", sc, &cfg, &specs, make());
+        let materialized = runner.run_suite(&SuiteSource::Materialized(tiny_traces()), make());
         assert_eq!(streamed.reports, materialized.reports);
     }
 
@@ -744,27 +651,16 @@ mod tests {
         let runner = SuiteRunner::new(Some(3));
         let traces = tiny_traces();
         let cfg = PipelineConfig::default();
+        let sc = UpdateScenario::RereadOnMispredict;
         let pooled = runner.run_suite(
-            &traces,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::RereadOnMispredict,
+            &SuiteSource::Materialized(Arc::clone(&traces)),
+            engines(|| baselines::Gshare::new(10), sc),
         );
         for (r, t) in pooled.reports.iter().zip(traces.iter()) {
             assert_eq!(r.trace, t.name);
         }
-        let serial: Vec<SimReport> = traces
-            .iter()
-            .map(|t| {
-                simulate(
-                    &mut baselines::Gshare::new(10),
-                    t,
-                    UpdateScenario::RereadOnMispredict,
-                    &cfg,
-                )
-            })
-            .collect();
+        let serial: Vec<SimReport> =
+            traces.iter().map(|t| simulate(&mut baselines::Gshare::new(10), t, sc, &cfg)).collect();
         assert_eq!(pooled.reports, serial);
     }
-
 }

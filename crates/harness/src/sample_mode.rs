@@ -21,7 +21,7 @@ use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
 use crate::trace_mode::MATRIX_SCENARIO;
 use pipeline::{
-    fixed_interval, simulate_engine, Phase, PipelineConfig, SampledResult, SimReport, SimWindow,
+    fixed_interval, ChunkDriver, Phase, PipelineConfig, SampledResult, SimReport, SimWindow,
     DEFAULT_BATCH,
 };
 use std::io;
@@ -130,7 +130,7 @@ fn slice_job(
     };
     // INVARIANT: specs were parse-validated by the caller before fan-out.
     let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
-    let report = simulate_engine(&mut *engine, &mut src, opts.batch);
+    let report = ChunkDriver::new(opts.batch).run(&mut *engine, &mut src);
     // The window stops mid-file by design, so the remaining-event
     // shortfall check does not apply — but a decode error still must.
     if let Some(e) = src.decode_error() {
@@ -147,7 +147,7 @@ fn full_job(path: &Path, spec: &PredictorSpec, batch: usize) -> io::Result<SimRe
     let cfg = PipelineConfig::default();
     // INVARIANT: see `slice_job`.
     let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
-    let report = simulate_engine(&mut *engine, &mut src, batch);
+    let report = ChunkDriver::new(batch).run(&mut *engine, &mut src);
     traces::finish(src.as_ref())?;
     Ok(report)
 }

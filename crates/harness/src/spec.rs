@@ -22,15 +22,14 @@
 //! The canonical [`Display`](std::fmt::Display) string doubles as the
 //! suite-scheduler memo label (see [`crate::ctx::ExpContext::run_spec`]):
 //! two experiment rows share a cached suite exactly when their specs
-//! canonicalize identically. Every predictor a spec can build implements
-//! the object-safe [`simkit::BranchPredictor`], so
-//! [`PredictorSpec::build`] returns one boxable type for registry-style
-//! callers (the trace-mode matrix, `tage_exp system`).
+//! canonicalize identically. [`PredictorSpec::build_engine`] is the one
+//! spec → predictor-type table: it returns the built predictor inside a
+//! boxed [`BlockSim`] engine, the one type every caller simulates (the
+//! suite scheduler, the trace-mode matrix, sampling, the server).
 
 use baselines::{Bimodal, Ftl, Gehl, Gshare, Perceptron, Snap};
 use pipeline::{BlockSim, PipelineConfig, WindowEngine};
 use simkit::predictor::UpdateScenario;
-use simkit::BranchPredictor;
 use std::fmt;
 use std::str::FromStr;
 use tage::{SpecError, SystemSpec};
@@ -135,36 +134,10 @@ impl PredictorSpec {
         }
     }
 
-    /// Builds the predictor behind the object-safe trait.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PredictorSpec::validate`].
-    pub fn build(&self) -> Result<Box<dyn BranchPredictor>, SpecError> {
-        self.validate()?;
-        Ok(match self {
-            PredictorSpec::Stack(spec) => Box::new(spec.build()?),
-            PredictorSpec::Gshare { index_bits: None } => Box::new(Gshare::cbp_512k()),
-            PredictorSpec::Gshare { index_bits: Some(bits) } => Box::new(Gshare::new(*bits)),
-            PredictorSpec::Gehl520k => Box::new(Gehl::cbp_520k()),
-            PredictorSpec::Bimodal { entries, ctr_bits } => {
-                Box::new(Bimodal::new(*entries, *ctr_bits))
-            }
-            PredictorSpec::Perceptron { rows, hist } => Box::new(Perceptron::new(*rows, *hist)),
-            PredictorSpec::Snap512k => Box::new(Snap::cbp_512k()),
-            PredictorSpec::Ftl512k => Box::new(Ftl::cbp_512k()),
-        })
-    }
-
-    /// Builds the predictor inside a block-at-a-time [`WindowEngine`] —
-    /// the batched counterpart of [`PredictorSpec::build`]. The returned
-    /// [`BlockSim`] erases the predictor type once per *block*
-    /// (`run_block`) instead of once per predictor call, and the window
-    /// loop inside stays monomorphized per arm, so dynamic callers (trace
-    /// mode, benches) amortize virtual dispatch without giving up the
-    /// registry interface. Bit-identical to the scalar route: both funnel
-    /// through the same per-event window step (pinned by the pipeline
-    /// engine tests and the trace-mode matrix test).
+    /// Builds the predictor inside a fresh [`WindowEngine`] for one
+    /// simulation. The returned [`BlockSim`] erases the predictor type
+    /// once per *block* (`run_block`) instead of once per predictor call,
+    /// and the window loop inside stays monomorphized per arm.
     ///
     /// # Errors
     ///
@@ -201,9 +174,10 @@ impl PredictorSpec {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PredictorSpec::build`].
+    /// Same conditions as [`PredictorSpec::validate`].
     pub fn storage_bits(&self) -> Result<u64, SpecError> {
-        Ok(self.build()?.storage_bits())
+        let cfg = PipelineConfig::default();
+        Ok(self.build_engine(UpdateScenario::Immediate, &cfg)?.storage_bits())
     }
 
     /// The suite-scheduler memoization key: the canonical string with
@@ -339,8 +313,7 @@ mod tests {
         ] {
             let spec = PredictorSpec::parse(s).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s, "canonical form changed");
-            let p = spec.build().unwrap();
-            assert!(p.storage_bits() > 0, "{s}");
+            assert!(spec.storage_bits().unwrap() > 0, "{s}");
         }
     }
 
@@ -402,29 +375,52 @@ mod tests {
 
     #[test]
     fn engine_route_is_bit_identical_to_the_scalar_route_per_arm() {
+        use pipeline::{simulate_source, ChunkDriver, SimReport, SimWindow, DEFAULT_BATCH};
+        use simkit::Predictor;
         use workloads::suite::{by_name, Scale};
-        let spec_src = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        let scenario = UpdateScenario::RereadAtRetire;
-        // One spec per PredictorSpec arm: every monomorphized engine arm
-        // must reproduce the boxed scalar route report for report.
-        for s in [
-            "tage+ium",
-            "gshare:512k",
-            "gshare:14",
-            "gehl:520k",
-            "bimodal:4096,2",
-            "perceptron:512,32",
-            "snap:512k",
-            "ftl:512k",
-        ] {
+        use workloads::TraceSpec;
+        const SCENARIO: UpdateScenario = UpdateScenario::RereadAtRetire;
+        fn direct<P: Predictor>(mut p: P, trace: &TraceSpec, cfg: &PipelineConfig) -> SimReport {
+            simulate_source(&mut p, &mut trace.stream(), SCENARIO, cfg)
+        }
+        type Direct = fn(&TraceSpec, &PipelineConfig) -> SimReport;
+        // One spec per PredictorSpec arm, with the predictor it must
+        // build: every arm of the spec → type table must reproduce the
+        // directly constructed predictor, report for report, at every
+        // block size and chunking, windowed or not, profile on or off.
+        let arms: [(&str, Direct); 8] = [
+            ("tage+ium", |t, c| direct(tage::TageSystem::tage_ium(), t, c)),
+            ("gshare:512k", |t, c| direct(Gshare::cbp_512k(), t, c)),
+            ("gshare:14", |t, c| direct(Gshare::new(14), t, c)),
+            ("gehl:520k", |t, c| direct(Gehl::cbp_520k(), t, c)),
+            ("bimodal:4096,2", |t, c| direct(Bimodal::new(4096, 2), t, c)),
+            ("perceptron:512,32", |t, c| direct(Perceptron::new(512, 32), t, c)),
+            ("snap:512k", |t, c| direct(Snap::cbp_512k(), t, c)),
+            ("ftl:512k", |t, c| direct(Ftl::cbp_512k(), t, c)),
+        ];
+        let configs = [
+            PipelineConfig::default(),
+            PipelineConfig {
+                window: SimWindow { skip: 500, warmup: 500, measure: 2000 },
+                branch_stats: true,
+                ..PipelineConfig::default()
+            },
+        ];
+        let trace = by_name("INT02", Scale::Tiny).unwrap();
+        for (s, want_of) in arms {
             let spec = PredictorSpec::parse(s).unwrap();
-            let mut scalar = simkit::DynPredictor::new(spec.build().unwrap());
-            let want = pipeline::simulate_source(&mut scalar, &mut spec_src.stream(), scenario, &cfg);
-            for batch in [1usize, 7, pipeline::DEFAULT_BATCH] {
-                let mut engine = spec.build_engine(scenario, &cfg).unwrap();
-                let got = pipeline::simulate_engine(&mut *engine, &mut spec_src.stream(), batch);
-                assert_eq!(got, want, "{s} diverged at batch {batch}");
+            for cfg in &configs {
+                let want = want_of(&trace, cfg);
+                for (batch, max_blocks) in [(1usize, usize::MAX), (7, 3), (DEFAULT_BATCH, 1)] {
+                    let mut engine = spec.build_engine(SCENARIO, cfg).unwrap();
+                    let mut src = trace.stream();
+                    let mut driver = ChunkDriver::new(batch);
+                    while !driver.is_done() {
+                        driver.run_chunk(&mut *engine, &mut src, max_blocks);
+                    }
+                    let got = driver.finish(&mut *engine, &src);
+                    assert_eq!(got, want, "{s} diverged at batch {batch} ({:?})", cfg.window);
+                }
             }
         }
     }
@@ -432,15 +428,14 @@ mod tests {
     #[test]
     fn built_names_match_direct_construction() {
         use simkit::Predictor;
-        let boxed = PredictorSpec::parse("gehl:520k").unwrap().build().unwrap();
-        assert_eq!(
-            BranchPredictor::name(&*boxed),
-            Predictor::name(&baselines::Gehl::cbp_520k())
-        );
-        let stack = PredictorSpec::parse("tage:lsc+ium+lsc/as=TAGE-LSC").unwrap().build().unwrap();
-        assert_eq!(
-            BranchPredictor::name(&*stack),
-            Predictor::name(&tage::TageSystem::tage_lsc())
-        );
+        let cfg = PipelineConfig::default();
+        let scenario = UpdateScenario::RereadAtRetire;
+        let gehl = PredictorSpec::parse("gehl:520k").unwrap();
+        let engine = gehl.build_engine(scenario, &cfg).unwrap();
+        assert_eq!(engine.predictor_name(), Predictor::name(&Gehl::cbp_520k()));
+        assert_eq!(engine.storage_bits(), Predictor::storage_bits(&Gehl::cbp_520k()));
+        let lsc = PredictorSpec::parse("tage:lsc+ium+lsc/as=TAGE-LSC").unwrap();
+        let engine = lsc.build_engine(scenario, &cfg).unwrap();
+        assert_eq!(engine.predictor_name(), Predictor::name(&tage::TageSystem::tage_lsc()));
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
-use pipeline::{simulate_engine, simulate_source, PipelineConfig, SuiteReport, DEFAULT_BATCH};
+use pipeline::{ChunkDriver, PipelineConfig, SuiteReport, DEFAULT_BATCH};
 use simkit::predictor::UpdateScenario;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,12 +25,8 @@ use workloads::event::{EventSource, Trace, TraceEvent};
 use workloads::TraceSpec;
 
 /// The predictor matrix as `(display name, spec)` pairs, in table-column
-/// order. Each cell builds its predictor through the declarative
-/// [`PredictorSpec`] registry behind the object-safe
-/// [`simkit::BranchPredictor`], wrapped in a [`simkit::DynPredictor`]
-/// flight pool — this is the genuinely dynamic path (the suite
-/// experiments keep monomorphized dispatch; see
-/// [`crate::ctx::ExpContext::run_spec`]).
+/// order. Each cell builds its engine through
+/// [`PredictorSpec::build_engine`], like every suite experiment.
 pub const MATRIX: [(&str, &str); 6] = [
     ("gshare-512K", "gshare:512k"),
     ("GEHL-520K", "gehl:520k"),
@@ -69,19 +65,15 @@ impl TraceDecoder for SpecSource {
 
 /// One simulation cell: a fresh spec-built predictor streamed over one
 /// source under `scenario`, with a post-run decode-integrity check.
-/// This is THE per-(spec × trace) recipe — the matrix runner, `tage_exp
-/// system --trace`, and a `tage_serve` session all funnel through it,
-/// which is what makes a served result bit-identical to the offline run
-/// by construction.
+/// This is THE per-(spec × trace) recipe — the matrix runner and
+/// `tage_exp system --trace` call it, and a `tage_serve` session runs the
+/// same steps in chunks, which is what makes a served result
+/// bit-identical to the offline run.
 ///
-/// `batch == 0` takes the scalar reference route — the pooled
-/// [`simkit::DynPredictor`] behind [`simulate_source`], dynamic dispatch
-/// per predictor call. `batch >= 1` takes the block route —
-/// [`PredictorSpec::build_engine`]'s [`pipeline::WindowEngine`] behind
-/// [`simulate_engine`], one virtual `run_block` per `batch` events with a
-/// monomorphized window loop inside. Both funnel through the same
-/// per-event window step, so the reports are bit-identical (pinned by
-/// `batched_matrix_is_bit_identical_to_scalar`).
+/// The engine comes from [`PredictorSpec::build_engine`] and runs under a
+/// [`ChunkDriver`] pulling `batch` events per block (clamped to
+/// `1..=`[`pipeline::MAX_BATCH`]). The block size never changes a result
+/// bit (pinned by `batched_matrix_is_bit_identical_to_scalar`).
 ///
 /// # Errors
 ///
@@ -98,13 +90,8 @@ pub fn run_spec_cell(
 ) -> io::Result<pipeline::SimReport> {
     let bad_spec =
         |e: tage::SpecError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
-    let r = if batch == 0 {
-        let mut predictor = simkit::DynPredictor::new(spec.build().map_err(bad_spec)?);
-        simulate_source(&mut predictor, src, scenario, cfg)
-    } else {
-        let mut engine = spec.build_engine(scenario, cfg).map_err(bad_spec)?;
-        simulate_engine(&mut *engine, src, batch)
-    };
+    let mut engine = spec.build_engine(scenario, cfg).map_err(bad_spec)?;
+    let r = ChunkDriver::new(batch).run(&mut *engine, src);
     traces::finish(src.as_ref())?;
     Ok(r)
 }
@@ -144,10 +131,8 @@ pub fn run_spec_over_files(
 /// deterministic (predictor, source) order regardless of completion
 /// order.
 ///
-/// `batch` selects the per-cell simulation route (see [`run_cell`]):
-/// `0` is the scalar reference, `n >= 1` the block engine decoding `n`
-/// events per virtual dispatch. [`DEFAULT_BATCH`] is the auto default
-/// the CLI uses.
+/// `batch` is the per-cell block size (see [`run_spec_cell`]);
+/// [`DEFAULT_BATCH`] is the auto default the CLI uses.
 ///
 /// # Errors
 ///
@@ -226,8 +211,7 @@ pub fn run_files(
     run_files_batched(files, cfg, threads, DEFAULT_BATCH)
 }
 
-/// [`run_files`] with an explicit batch size (`0`: the scalar reference
-/// route; see [`run_matrix`]).
+/// [`run_files`] with an explicit block size (see [`run_matrix`]).
 ///
 /// # Errors
 ///
@@ -257,8 +241,7 @@ pub fn run_specs(
     run_specs_batched(specs, cfg, threads, DEFAULT_BATCH)
 }
 
-/// [`run_specs`] with an explicit batch size (`0`: the scalar reference
-/// route; see [`run_matrix`]).
+/// [`run_specs`] with an explicit block size (see [`run_matrix`]).
 ///
 /// # Errors
 ///
@@ -416,14 +399,14 @@ mod tests {
 
     #[test]
     fn batched_matrix_is_bit_identical_to_scalar() {
-        // The trace-mode acceptance bar: the engine route must reproduce
-        // the scalar DynPredictor route exactly, at the auto batch, a
-        // deliberately awkward one, and N=1.
+        // The trace-mode acceptance bar: the matrix must not depend on
+        // the block size. One event per block is the scalar order; the
+        // auto batch and a deliberately awkward one must reproduce it.
         let specs: Vec<TraceSpec> =
             ["INT02", "WS03"].iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect();
         let cfg = PipelineConfig::default();
-        let scalar = run_specs_batched(&specs, &cfg, Some(2), 0).unwrap();
-        for batch in [1usize, 37, DEFAULT_BATCH] {
+        let scalar = run_specs_batched(&specs, &cfg, Some(2), 1).unwrap();
+        for batch in [37usize, DEFAULT_BATCH] {
             let batched = run_specs_batched(&specs, &cfg, Some(2), batch).unwrap();
             for ((n1, a), (n2, b)) in scalar.iter().zip(&batched) {
                 assert_eq!(n1, n2);

@@ -1,12 +1,12 @@
 //! Observability invariants: the opt-in per-branch profiler must sum
 //! exactly to the aggregate counters under every update scenario, run
 //! artifacts must round-trip through JSON bit-for-bit, and artifact
-//! bytes must be invariant across worker-thread counts and across the
-//! batched vs scalar simulation routes.
+//! bytes must be invariant across worker-thread counts and across block
+//! sizes.
 
 use harness::artifact::{collect_paths, RunArtifact, SchedulerBlock};
 use harness::{ExpContext, ExpOptions, PredictorSpec};
-use pipeline::{simulate_source, simulate_source_batched, PipelineConfig};
+use pipeline::{simulate_source, ChunkDriver, PipelineConfig};
 use simkit::UpdateScenario;
 use workloads::program::ProgramStream;
 use workloads::suite::{by_name, Scale};
@@ -26,11 +26,8 @@ fn branch_profile_sums_to_aggregate_on_every_scenario() {
     let spec = PredictorSpec::parse("tage+ium+loop").expect("spec");
     for scenario in UpdateScenario::ALL {
         let mut p = spec.build_engine(scenario, &profiled_cfg()).expect("engine");
-        let r = pipeline::simulate_engine(
-            p.as_mut(),
-            &mut tiny_stream("SERVER01"),
-            pipeline::DEFAULT_BATCH,
-        );
+        let mut src = tiny_stream("SERVER01");
+        let r = ChunkDriver::new(pipeline::DEFAULT_BATCH).run(p.as_mut(), &mut src);
         let profile = r.branches.as_ref().expect("profiler was on");
         assert!(!profile.branches.is_empty());
         assert_eq!(profile.total_executions(), r.conditionals, "{scenario}");
@@ -99,21 +96,16 @@ fn artifacts_are_byte_deterministic_across_thread_counts() {
     assert_eq!(single, parallel);
 }
 
-/// The batched block-dispatch route and the scalar reference route must
-/// serialize to the same artifact bytes — the profiler cannot observe
-/// which driver ran.
+/// The default block size and one event per block (the scalar order)
+/// must serialize to the same artifact bytes — the profiler cannot
+/// observe how the events were batched.
 #[test]
 fn artifacts_are_byte_deterministic_across_batched_and_scalar_routes() {
     let cfg = profiled_cfg();
     let scenario = UpdateScenario::FetchOnly;
-    let emit = |batched: bool| {
-        let mut p = baselines::Gshare::new(12);
-        let mut src = tiny_stream("INT03");
-        let r = if batched {
-            simulate_source_batched(&mut p, &mut src, scenario, &cfg, pipeline::DEFAULT_BATCH)
-        } else {
-            simulate_source(&mut p, &mut src, scenario, &cfg)
-        };
+    let emit = |batch: usize| {
+        let mut engine = pipeline::WindowEngine::new(baselines::Gshare::new(12), scenario, &cfg);
+        let r = ChunkDriver::new(batch).run(&mut engine, &mut tiny_stream("INT03"));
         RunArtifact::from_suite(
             "gshare:12",
             scenario,
@@ -124,7 +116,7 @@ fn artifacts_are_byte_deterministic_across_batched_and_scalar_routes() {
         )
         .to_json()
     };
-    assert_eq!(emit(true), emit(false));
+    assert_eq!(emit(pipeline::DEFAULT_BATCH), emit(1));
 }
 
 /// `collect_paths` + `load` over a real emitted directory: files come

@@ -48,9 +48,9 @@ impl LintConfig {
     pub fn for_workspace(root: PathBuf) -> Self {
         Self {
             root,
-            // The audited unsafe prefetch hints: tage-core's tagged-table
-            // prefetch and workloads' decoded-block prefetch.
-            unsafe_allowed_crates: vec!["core".to_string(), "workloads".to_string()],
+            // The audited unsafe prefetch hint: tage-core's tagged-table
+            // prefetch.
+            unsafe_allowed_crates: vec!["core".to_string()],
             wildcard_guarded_files: [
                 // Trace-cache fingerprint coverage (the PR-3 stale-cache fix).
                 "crates/workloads/src/io.rs",

@@ -10,17 +10,34 @@
 use crate::core_model::CoreModel;
 use crate::report::{BranchProfile, BranchStat, SimReport};
 use simkit::predictor::{Predictor, UpdateScenario};
-use simkit::stats::AccessStats;
 use std::collections::{HashMap, VecDeque};
-use workloads::event::{
-    prefetch_event, EventBlock, EventSource, Trace, TraceEvent, TraceStream, EVENT_PREFETCH_AHEAD,
-};
+use workloads::event::{EventBlock, EventSource, Trace, TraceEvent, TraceStream};
 
-/// Default block size for the batched drivers ([`simulate_source_batched`],
-/// [`simulate_engine`]). Big enough to amortize the per-block virtual
-/// calls to nothing, small enough that the reusable [`EventBlock`] stays
-/// cache-resident (~160 KiB of events).
+/// Default block size of [`ChunkDriver`]. Big enough to amortize the
+/// per-block virtual calls to nothing, small enough that the reusable
+/// [`EventBlock`] stays cache-resident (~160 KiB of events).
 pub const DEFAULT_BATCH: usize = 4096;
+
+/// Largest block size [`ChunkDriver`] allocates for (larger requests are
+/// clamped) and the bound [`parse_batch`] enforces on untrusted input.
+pub const MAX_BATCH: usize = 1 << 16;
+
+/// Parses a `--batch` value: `auto` ([`DEFAULT_BATCH`]) or a block size
+/// in `1..=MAX_BATCH`. Results never depend on the block size; it only
+/// trades dispatch overhead against buffer size.
+///
+/// # Errors
+///
+/// A usage message for anything else, `0` included.
+pub fn parse_batch(v: &str) -> Result<usize, String> {
+    if v == "auto" {
+        return Ok(DEFAULT_BATCH);
+    }
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_BATCH).contains(&n) => Ok(n),
+        _ => Err(format!("--batch expects 'auto' or a block size in 1..={MAX_BATCH} (got '{v}')")),
+    }
+}
 
 /// Skip/warmup/measure windows over the event stream (sampled
 /// simulation). Positions count *trace events* — conditional or not —
@@ -32,9 +49,10 @@ pub const DEFAULT_BATCH: usize = 4096;
 ///   touched and no counter moves;
 /// * the next `warmup` events train the predictor (the full
 ///   predict/update path through the in-flight window) but score
-///   nothing — [`AccessStats`] still observes their table traffic;
+///   nothing — [`AccessStats`](simkit::stats::AccessStats) still
+///   observes their table traffic;
 /// * the next `measure` events train *and* count; everything after is
-///   fast-forwarded again (the drivers stop pulling events once the
+///   fast-forwarded again ([`ChunkDriver`] stops pulling events once the
 ///   window is spent).
 ///
 /// The default (`skip = 0`, `warmup = 0`, `measure = u64::MAX`) runs the
@@ -145,11 +163,8 @@ struct Inflight<F> {
     executed: bool,
 }
 
-/// The in-flight window plus the accumulated counters of one simulation —
-/// everything `simulate_source` used to keep in locals, factored out so
-/// the scalar loop, the batched loop, and the type-erased [`WindowEngine`]
-/// all drive the *same* per-event body ([`WindowState::step`]) and stay
-/// bit-identical by construction.
+/// The in-flight window plus the accumulated counters of one simulation,
+/// advanced one event at a time by [`WindowState::step`].
 struct WindowState<F> {
     // INVARIANT: `base` is the sequence number of `window.front()`, and
     // `pending_exec` holds sequence numbers of not-yet-executed window
@@ -213,9 +228,9 @@ impl<F> WindowState<F> {
     }
 
     /// Advances the simulation by exactly one trace event. This is *the*
-    /// per-event body: every driver funnels through it, so batched and
-    /// scalar runs perform the identical predict/execute/retire call
-    /// sequence against the predictor.
+    /// per-event body: whatever the block size, a run performs the
+    /// identical predict/execute/retire call sequence against the
+    /// predictor.
     #[inline]
     fn step<P: Predictor<Flight = F>>(&mut self, predictor: &mut P, ev: &TraceEvent) {
         // Window gating. The default full-trace window resolves to
@@ -342,8 +357,7 @@ impl<F> WindowState<F> {
 
 /// Simulates one predictor over one trace under one update scenario.
 ///
-/// Thin wrapper over [`simulate_source`] streaming the materialized trace;
-/// the two paths are bit-identical.
+/// Thin wrapper over [`simulate_source`] streaming the materialized trace.
 pub fn simulate<P: Predictor>(
     predictor: &mut P,
     trace: &Trace,
@@ -354,8 +368,10 @@ pub fn simulate<P: Predictor>(
 }
 
 /// Simulates one predictor over any [`EventSource`] under one update
-/// scenario. Memory use is bounded by the in-flight window, not the trace
-/// length, so arbitrarily long streamed traces are feasible.
+/// scenario: a [`WindowEngine`] borrowing `predictor`, run to the end by
+/// a [`ChunkDriver`] at [`DEFAULT_BATCH`]. Memory use is bounded by the
+/// in-flight window and one event block, not the trace length, so
+/// arbitrarily long streamed traces are feasible.
 ///
 /// Under [`UpdateScenario::Immediate`] the window is bypassed entirely
 /// (oracle fetch-time update); the other scenarios run the full in-flight
@@ -366,63 +382,25 @@ pub fn simulate_source<P: Predictor, S: EventSource>(
     scenario: UpdateScenario,
     cfg: &PipelineConfig,
 ) -> SimReport {
-    predictor.reset_stats();
-    let mut st = WindowState::new(scenario, cfg);
-    while let Some(ev) = source.next_event() {
-        st.step(predictor, &ev);
-        if st.complete() {
-            break;
-        }
-    }
-    st.drain(predictor);
-    st.report(predictor, source.name(), source.category())
-}
-
-/// Like [`simulate_source`], but pulls events in blocks of `batch` through
-/// a reusable [`EventBlock`] instead of one virtual `next_event` call per
-/// event. The per-event call sequence against the predictor is identical
-/// to the scalar path (both funnel through the same [`WindowState::step`]),
-/// so results are bit-identical for every scenario and any `batch >= 1`;
-/// the win is amortized source dispatch — one `next_block` call per
-/// `batch` events — which matters most for `Box<dyn EventSource>` decoder
-/// chains.
-pub fn simulate_source_batched<P: Predictor, S: EventSource>(
-    predictor: &mut P,
-    source: &mut S,
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-    batch: usize,
-) -> SimReport {
-    let batch = batch.max(1);
-    predictor.reset_stats();
-    let mut st = WindowState::new(scenario, cfg);
-    let mut block = EventBlock::with_capacity(batch);
-    while source.next_block(&mut block, batch) > 0 {
-        for (i, ev) in block.events.iter().enumerate() {
-            block.prefetch(i + EVENT_PREFETCH_AHEAD);
-            st.step(predictor, ev);
-        }
-        if st.complete() {
-            break;
-        }
-    }
-    st.drain(predictor);
-    st.report(predictor, source.name(), source.category())
+    let mut engine = WindowEngine::new(predictor, scenario, cfg);
+    ChunkDriver::new(DEFAULT_BATCH).run(&mut engine, source)
 }
 
 /// An object-safe whole-window simulation engine: predictor, in-flight
 /// window, and counters behind one vtable, driven a *block* of events at a
-/// time.
+/// time by [`ChunkDriver`].
 ///
-/// This is the batched counterpart of `Box<dyn BranchPredictor>`: instead
-/// of erasing the predictor and paying four virtual calls plus a
-/// `FlightSlot` round-trip per branch, [`WindowEngine`] monomorphizes the
-/// entire hot loop over the concrete predictor (typed flights, inlined
-/// table access) and erases *outside* the loop — one virtual
-/// [`run_block`](BlockSim::run_block) call per [`EventBlock`].
-pub trait BlockSim: Send {
+/// [`WindowEngine`] monomorphizes the entire hot loop over the concrete
+/// predictor (typed flights, inlined table access) and erases *outside*
+/// the loop — one virtual [`run_block`](BlockSim::run_block) call per
+/// [`EventBlock`] — so runtime-selected predictors cost no per-branch
+/// dynamic dispatch.
+pub trait BlockSim {
     /// The composed predictor's display name (for reports).
     fn predictor_name(&self) -> String;
+
+    /// Total predictor storage in bits (see [`Predictor::storage_bits`]).
+    fn storage_bits(&self) -> u64;
 
     /// Feeds `events` through the window in order.
     fn run_block(&mut self, events: &[TraceEvent]);
@@ -440,8 +418,9 @@ pub trait BlockSim: Send {
 }
 
 /// The concrete [`BlockSim`] implementation: a predictor plus its
-/// [`WindowState`], monomorphized together. See the trait docs for why
-/// this beats per-event dynamic dispatch.
+/// [`WindowState`], monomorphized together. `P` may be a borrow
+/// (`&mut P`), which is how [`simulate_source`] leaves the predictor with
+/// its caller.
 pub struct WindowEngine<P: Predictor> {
     predictor: P,
     state: WindowState<P::Flight>,
@@ -456,17 +435,17 @@ impl<P: Predictor> WindowEngine<P> {
     }
 }
 
-impl<P: Predictor + Send> BlockSim for WindowEngine<P>
-where
-    P::Flight: Send,
-{
+impl<P: Predictor> BlockSim for WindowEngine<P> {
     fn predictor_name(&self) -> String {
         self.predictor.name()
     }
 
+    fn storage_bits(&self) -> u64 {
+        self.predictor.storage_bits()
+    }
+
     fn run_block(&mut self, events: &[TraceEvent]) {
-        for (i, ev) in events.iter().enumerate() {
-            prefetch_event(events, i + EVENT_PREFETCH_AHEAD);
+        for ev in events {
             self.state.step(&mut self.predictor, ev);
         }
     }
@@ -481,34 +460,17 @@ where
     }
 }
 
-/// Drives a type-erased [`BlockSim`] over an event source in blocks of
-/// `batch`. Two virtual calls per block (`next_block` + `run_block`)
-/// replace the scalar path's four-per-branch, which is where the batched
-/// throughput win on runtime-composed stacks comes from.
-pub fn simulate_engine<S: EventSource>(
-    engine: &mut dyn BlockSim,
-    source: &mut S,
-    batch: usize,
-) -> SimReport {
-    let batch = batch.max(1);
-    let mut block = EventBlock::with_capacity(batch);
-    while source.next_block(&mut block, batch) > 0 {
-        engine.run_block(&block.events);
-        if engine.done() {
-            break;
-        }
-    }
-    engine.finish(source.name(), source.category())
-}
-
-/// A resumable twin of [`simulate_engine`]: the same loop — whole
-/// [`EventBlock`]s of `batch` events, two virtual calls per block, stop
-/// on stream end or a spent window — but sliced into caller-bounded
-/// chunks so the driver can interleave other work (the prediction
-/// server emits a `Stats` frame between chunks). Because the chunking
-/// never changes block boundaries, pull order, or the stop condition,
-/// a chunked run is bit-identical to one [`simulate_engine`] call by
-/// construction (and pinned by test).
+/// The one loop that feeds events to a predictor: whole [`EventBlock`]s
+/// of `batch` events pulled from a source and handed to a [`BlockSim`],
+/// until the stream ends or the engine's measurement window is spent.
+///
+/// [`ChunkDriver::run`] goes to the end in one call. [`ChunkDriver::run_chunk`]
+/// stops after a caller-bounded number of blocks so the caller can
+/// interleave other work (the prediction server emits a `Stats` frame
+/// between chunks). Chunking never changes block boundaries, pull order
+/// or the stop condition, and the per-event window step is the same at
+/// every block size, so the report is the same for any `batch` and any
+/// chunking (pinned against a scalar oracle by test).
 pub struct ChunkDriver {
     block: EventBlock,
     batch: usize,
@@ -517,10 +479,10 @@ pub struct ChunkDriver {
 }
 
 impl ChunkDriver {
-    /// A fresh driver pulling blocks of `batch` events (clamped to ≥ 1,
-    /// like [`simulate_engine`]).
+    /// A fresh driver pulling blocks of `batch` events (clamped to
+    /// `1..=MAX_BATCH`).
     pub fn new(batch: usize) -> Self {
-        let batch = batch.max(1);
+        let batch = batch.clamp(1, MAX_BATCH);
         Self { block: EventBlock::with_capacity(batch), batch, events_fed: 0, done: false }
     }
 
@@ -543,9 +505,9 @@ impl ChunkDriver {
     /// Feeds up to `max_blocks` blocks (clamped to ≥ 1) from `source`
     /// into `engine`, returning the events fed by this chunk (0 once
     /// [`ChunkDriver::is_done`]).
-    pub fn run_chunk<S: EventSource>(
+    pub fn run_chunk<E: BlockSim + ?Sized, S: EventSource>(
         &mut self,
-        engine: &mut dyn BlockSim,
+        engine: &mut E,
         source: &mut S,
         max_blocks: usize,
     ) -> u64 {
@@ -570,38 +532,25 @@ impl ChunkDriver {
         fed
     }
 
-    /// Drains the window and assembles the final report — the tail of
-    /// [`simulate_engine`]. The engine is spent afterwards.
-    pub fn finish<S: EventSource>(self, engine: &mut dyn BlockSim, source: &S) -> SimReport {
+    /// Feeds `source` into `engine` to the end and returns the report.
+    pub fn run<E: BlockSim + ?Sized, S: EventSource>(
+        mut self,
+        engine: &mut E,
+        source: &mut S,
+    ) -> SimReport {
+        self.run_chunk(engine, source, usize::MAX);
+        self.finish(engine, source)
+    }
+
+    /// Drains the window and assembles the final report. The engine is
+    /// spent afterwards.
+    pub fn finish<E: BlockSim + ?Sized, S: EventSource>(
+        self,
+        engine: &mut E,
+        source: &S,
+    ) -> SimReport {
         engine.finish(source.name(), source.category())
     }
-}
-
-/// Runs a freshly built predictor (from `make`) over every trace of a
-/// suite, returning one report per trace.
-///
-/// Each trace gets a *cold* predictor, as in CBP-3 (one simulation per
-/// trace).
-pub fn simulate_suite<P, F>(
-    make: F,
-    traces: &[Trace],
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-) -> Vec<SimReport>
-where
-    P: Predictor,
-    F: Fn() -> P,
-{
-    traces.iter().map(|t| simulate(&mut make(), t, scenario, cfg)).collect()
-}
-
-/// Convenience: merged access statistics over a set of reports.
-pub fn merged_stats(reports: &[SimReport]) -> AccessStats {
-    let mut s = AccessStats::default();
-    for r in reports {
-        s.merge(&r.stats);
-    }
-    s
 }
 
 #[cfg(test)]
@@ -612,6 +561,26 @@ mod tests {
 
     fn tiny(name: &str) -> Trace {
         by_name(name, Scale::Tiny).unwrap().generate()
+    }
+
+    /// The scalar reference loop: one `next_event` per step, no blocks,
+    /// no engine. [`ChunkDriver`] must reproduce it bit for bit.
+    fn scalar_oracle<P: Predictor, S: EventSource>(
+        predictor: &mut P,
+        source: &mut S,
+        scenario: UpdateScenario,
+        cfg: &PipelineConfig,
+    ) -> SimReport {
+        predictor.reset_stats();
+        let mut st = WindowState::new(scenario, cfg);
+        while let Some(ev) = source.next_event() {
+            st.step(predictor, &ev);
+            if st.complete() {
+                break;
+            }
+        }
+        st.drain(predictor);
+        st.report(predictor, source.name(), source.category())
     }
 
     #[test]
@@ -669,13 +638,13 @@ mod tests {
     #[test]
     fn streamed_source_matches_materialized_bit_for_bit() {
         // The same spec driven as a lazy ProgramStream and as a
-        // materialized Vec<Trace> slice must produce identical SimReports,
-        // for every scenario (the §4.1.2 window behaviours all exercise
-        // the in-flight bookkeeping differently).
+        // materialized trace must produce identical SimReports, for every
+        // scenario (the §4.1.2 window behaviours all exercise the
+        // in-flight bookkeeping differently).
         let spec = by_name("INT02", Scale::Tiny).unwrap();
         let trace = spec.generate();
         let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
+        for scenario in UpdateScenario::ALL {
             let materialized = simulate(&mut Gshare::new(12), &trace, scenario, &cfg);
             let streamed =
                 simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &cfg);
@@ -707,40 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_branch_predictor_matches_static_stack() {
-        // Runtime-composed stacks arrive as `Box<dyn BranchPredictor>` —
-        // bare (one flight allocation per branch) or wrapped in the
-        // recycling `DynPredictor` pool. The engine must drive both with
-        // bit-identical results: flights round-trip through type-erased
-        // `FlightSlot`s across the whole in-flight window.
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let static_r = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            let mut boxed: Box<dyn simkit::BranchPredictor> =
-                Box::new(tage::TageSystem::isl_tage());
-            let dyn_r = simulate_source(&mut boxed, &mut spec.stream(), scenario, &cfg);
-            assert_eq!(dyn_r, static_r, "dyn dispatch diverged under {scenario}");
-            let mut pooled =
-                simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            let pooled_r = simulate_source(&mut pooled, &mut spec.stream(), scenario, &cfg);
-            assert_eq!(pooled_r, static_r, "pooled dispatch diverged under {scenario}");
-            // The pool bounds flight allocations by the in-flight depth,
-            // not the branch count.
-            assert!(
-                pooled.flight_allocations() <= cfg.retire_lag as u64 + 1,
-                "pooled route allocated {} flights under {scenario}",
-                pooled.flight_allocations()
-            );
-        }
-    }
-
-    #[test]
     fn boxed_dyn_source_matches_concrete_source() {
         // Foreign-format decoders arrive as `Box<dyn EventSource>`; the
         // engine must produce identical reports through the boxed path.
@@ -755,160 +690,108 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_for_every_scenario_and_edge_batch_size() {
-        // The batched driver must be bit-identical to the scalar reference
-        // for every §4.1.2 scenario at the in-flight-depth edge sizes:
-        // N=1 (degenerate), N=7 (smaller than the retire lag, so blocks
-        // straddle window boundaries), N=len, and N>len (single block).
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let trace = spec.generate();
-        let len = trace.events.len();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar =
-                simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &cfg);
-            for batch in [1usize, 7, len, len + 13] {
-                let batched = simulate_source_batched(
-                    &mut Gshare::new(12),
+    fn chunk_driver_matches_the_scalar_oracle() {
+        // The one driver against the scalar reference loop, for every
+        // §4.1.2 scenario, at block sizes 1 (the scalar order), 7 (smaller
+        // than the retire lag, so blocks straddle window boundaries), the
+        // default and the largest (one block for the whole trace), at
+        // several chunk sizes, under the full window, a
+        // partial one, and with the per-branch profile on. MM05 is
+        // load-heavy (variable execute lags through the pending-execute
+        // queue); ISL-TAGE carries order-sensitive IUM/loop/SC state.
+        let spec = by_name("MM05", Scale::Tiny).unwrap();
+        let configs = [
+            PipelineConfig::default(),
+            PipelineConfig {
+                window: SimWindow { skip: 300, warmup: 200, measure: 1500 },
+                ..PipelineConfig::default()
+            },
+            PipelineConfig { branch_stats: true, ..PipelineConfig::default() },
+        ];
+        for cfg in &configs {
+            for scenario in UpdateScenario::ALL {
+                let want = scalar_oracle(
+                    &mut tage::TageSystem::isl_tage(),
                     &mut spec.stream(),
                     scenario,
-                    &cfg,
-                    batch,
+                    cfg,
                 );
-                assert_eq!(batched, scalar, "batch {batch} diverged under {scenario}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_scalar_for_stateful_predictor_and_dyn_stack() {
-        // IUM/loop/SC state is order-sensitive; a load-heavy trace drives
-        // variable execute lags through the pending-execute queue. The
-        // batched path must track the scalar one through both a concrete
-        // TAGE system and the boxed-dyn + pooled routes.
-        let spec = by_name("MM05", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            let batched = simulate_source_batched(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-                64,
-            );
-            assert_eq!(batched, scalar, "concrete batched diverged under {scenario}");
-            let mut pooled = simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            let pooled_r =
-                simulate_source_batched(&mut pooled, &mut spec.stream(), scenario, &cfg, 64);
-            assert_eq!(pooled_r, scalar, "pooled batched diverged under {scenario}");
-        }
-    }
-
-    #[test]
-    fn window_engine_matches_scalar_bit_for_bit() {
-        // The type-erased block engine (one virtual call per block, typed
-        // flights inside) is the third driver over the same step body.
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            for batch in [1usize, DEFAULT_BATCH] {
-                let mut engine: Box<dyn BlockSim> =
-                    Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-                assert_eq!(engine.predictor_name(), scalar.predictor);
-                let r = simulate_engine(&mut *engine, &mut spec.stream(), batch);
-                assert_eq!(r, scalar, "engine batch {batch} diverged under {scenario}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_driver_is_bit_identical_to_simulate_engine() {
-        // The server's resumable driver must reproduce one-shot
-        // `simulate_engine` exactly for any chunk granularity — same
-        // block boundaries, same stop condition — across scenarios and
-        // edge batch sizes.
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            for batch in [1usize, 97, DEFAULT_BATCH] {
-                let mut engine: Box<dyn BlockSim> =
-                    Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-                let whole = simulate_engine(&mut *engine, &mut spec.stream(), batch);
-                for max_blocks in [1usize, 3, usize::MAX] {
-                    let mut engine: Box<dyn BlockSim> = Box::new(WindowEngine::new(
-                        tage::TageSystem::isl_tage(),
-                        scenario,
-                        &cfg,
-                    ));
-                    let mut src = spec.stream();
-                    let mut driver = ChunkDriver::new(batch);
-                    let mut fed = 0u64;
-                    while !driver.is_done() {
-                        fed += driver.run_chunk(&mut *engine, &mut src, max_blocks);
+                for batch in [1usize, 7, DEFAULT_BATCH, MAX_BATCH] {
+                    for max_blocks in [1usize, 3, usize::MAX] {
+                        let isl_tage = tage::TageSystem::isl_tage();
+                        let mut engine: Box<dyn BlockSim> =
+                            Box::new(WindowEngine::new(isl_tage, scenario, cfg));
+                        assert_eq!(engine.predictor_name(), want.predictor);
+                        let mut src = spec.stream();
+                        let mut driver = ChunkDriver::new(batch);
+                        let mut fed = 0u64;
+                        while !driver.is_done() {
+                            fed += driver.run_chunk(&mut *engine, &mut src, max_blocks);
+                        }
+                        assert_eq!(fed, driver.events_fed());
+                        assert_eq!(
+                            driver.finish(&mut *engine, &src),
+                            want,
+                            "batch {batch}, max_blocks {max_blocks}, {:?}: {scenario} diverged",
+                            cfg.window
+                        );
                     }
-                    assert_eq!(fed, driver.events_fed());
-                    let r = driver.finish(&mut *engine, &src);
-                    assert_eq!(
-                        r, whole,
-                        "chunked run (batch {batch}, max_blocks {max_blocks}) diverged under {scenario}"
-                    );
                 }
+                let mut p = Gshare::new(12);
+                let want = scalar_oracle(&mut p, &mut spec.stream(), scenario, cfg);
+                let got = simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, cfg);
+                assert_eq!(got, want, "simulate_source diverged under {scenario}");
             }
         }
     }
 
     #[test]
-    fn chunked_driver_stops_when_the_window_is_spent() {
-        // A spent measurement window must end the chunk loop exactly
-        // like simulate_engine's `done()` break — not at stream end.
+    fn chunk_driver_stops_when_the_window_is_spent() {
+        // A spent measurement window ends the run at the next block
+        // boundary, not at stream end.
         let spec = by_name("MM05", Scale::Tiny).unwrap();
         let cfg = PipelineConfig {
             window: SimWindow { skip: 0, warmup: 100, measure: 500 },
             ..PipelineConfig::default()
         };
-        let scenario = UpdateScenario::FetchOnly;
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-        let whole = simulate_engine(&mut *engine, &mut spec.stream(), 64);
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
+        let mut engine = WindowEngine::new(Gshare::new(12), UpdateScenario::FetchOnly, &cfg);
         let mut src = spec.stream();
         let mut driver = ChunkDriver::new(64);
         while !driver.is_done() {
-            driver.run_chunk(&mut *engine, &mut src, 2);
+            driver.run_chunk(&mut engine, &mut src, 2);
         }
-        // Stopped by the window, well short of the whole trace.
+        assert_eq!(driver.events_fed(), 640, "stopped at the first block past the window");
         assert!(driver.events_fed() < spec.generate().events.len() as u64);
-        let r = driver.finish(&mut *engine, &src);
-        assert_eq!(r, whole);
     }
 
     #[test]
-    fn branch_profile_sums_to_aggregate_for_every_scenario() {
-        // The tentpole invariant: per-branch counters partition the
-        // aggregate exactly, under every §4.1.2 update scenario (each
-        // exercises the window bookkeeping differently).
+    fn batch_is_bounded() {
+        assert_eq!(ChunkDriver::new(0).batch(), 1);
+        assert_eq!(ChunkDriver::new(usize::MAX).batch(), MAX_BATCH);
+        assert_eq!(parse_batch("auto"), Ok(DEFAULT_BATCH));
+        assert_eq!(parse_batch("1"), Ok(1));
+        assert_eq!(parse_batch(&MAX_BATCH.to_string()), Ok(MAX_BATCH));
+        for bad in ["0", "", "-1", "x", "18446744073709551615", &(MAX_BATCH + 1).to_string()] {
+            assert!(parse_batch(bad).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    fn branch_profile_sums_to_aggregate_and_is_free_when_off() {
+        // Per-branch counters partition the aggregate exactly under every
+        // §4.1.2 scenario (each exercises the window bookkeeping
+        // differently), and switching collection on leaves every
+        // aggregate counter untouched.
         let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let r = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
+        let off = PipelineConfig::default();
+        let on = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
+        assert_ne!(off.fingerprint(), on.fingerprint());
+        for scenario in UpdateScenario::ALL {
+            let run = |cfg| {
+                let mut isl_tage = tage::TageSystem::isl_tage();
+                simulate_source(&mut isl_tage, &mut spec.stream(), scenario, cfg)
+            };
+            let r = run(&on);
             let p = r.branches.as_ref().expect("branch_stats=true attaches a profile");
             assert_eq!(p.total_executions(), r.conditionals, "executions diverged under {scenario}");
             assert_eq!(p.total_mispredicts(), r.mispredicts, "mispredicts diverged under {scenario}");
@@ -921,35 +804,10 @@ mod tests {
             assert!(!p.branches.is_empty());
             // Sorted ascending by PC (deterministic serialization order).
             assert!(p.branches.windows(2).all(|w| w[0].pc < w[1].pc));
+            let plain = run(&off);
+            assert!(plain.branches.is_none());
+            assert_eq!(SimReport { branches: None, ..r }, plain, "collection perturbed {scenario}");
         }
-    }
-
-    #[test]
-    fn branch_profile_identical_across_drivers_and_free_when_off() {
-        // All three drivers share `step`, so the profile — not just the
-        // aggregate — must match bit-for-bit; and switching collection on
-        // must leave every aggregate counter untouched.
-        let spec = by_name("MM05", Scale::Tiny).unwrap();
-        let scenario = UpdateScenario::RereadAtRetire;
-        let off = PipelineConfig::default();
-        let on = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
-        assert_ne!(off.fingerprint(), on.fingerprint());
-        let plain = simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &off);
-        assert!(plain.branches.is_none());
-        let scalar = simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &on);
-        let batched =
-            simulate_source_batched(&mut Gshare::new(12), &mut spec.stream(), scenario, &on, 64);
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(Gshare::new(12), scenario, &on));
-        let engined = simulate_engine(&mut *engine, &mut spec.stream(), 64);
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar, engined);
-        // Aggregates unchanged by collection.
-        assert_eq!(plain.mispredicts, scalar.mispredicts);
-        assert_eq!(plain.penalty_cycles, scalar.penalty_cycles);
-        assert_eq!(plain.conditionals, scalar.conditionals);
-        assert_eq!(plain.uops, scalar.uops);
-        assert_eq!(plain.stats, scalar.stats);
     }
 
     #[test]
@@ -963,21 +821,6 @@ mod tests {
         let b = run();
         assert_eq!(a.mispredicts, b.mispredicts);
         assert_eq!(a.penalty_cycles, b.penalty_cycles);
-    }
-
-    #[test]
-    fn suite_runner_covers_all_traces() {
-        let traces: Vec<Trace> = ["MM01", "MM02"].iter().map(|n| tiny(n)).collect();
-        let reports = simulate_suite(
-            || Gshare::new(10),
-            &traces,
-            UpdateScenario::RereadAtRetire,
-            &PipelineConfig::default(),
-        );
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].trace, "MM01");
-        let merged = merged_stats(&reports);
-        assert_eq!(merged.predict_reads, reports.iter().map(|r| r.stats.predict_reads).sum::<u64>());
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod sampling;
 
 pub use core_model::{CoreModel, MemoryHierarchy};
 pub use engine::{
-    simulate, simulate_engine, simulate_source, simulate_source_batched, simulate_suite, BlockSim,
-    ChunkDriver, PipelineConfig, SimWindow, WindowEngine, DEFAULT_BATCH,
+    parse_batch, simulate, simulate_source, BlockSim, ChunkDriver, PipelineConfig, SimWindow,
+    WindowEngine, DEFAULT_BATCH, MAX_BATCH,
 };
 pub use report::{BranchProfile, BranchStat, SimReport, SuiteReport};
 pub use sampling::{fixed_interval, Phase, SampledResult, SampleSlice};

@@ -10,8 +10,11 @@
 //! * skipping via the window and skipping via [`EventSource::skip`] land
 //!   on the same stream position, so a data-path seek (`.ttr` v3 index)
 //!   and a window skip are interchangeable.
+//!
+//! Each windowed run goes through [`ChunkDriver`] at a drawn block size
+//! and chunk length, so every equivalence also holds across batching.
 
-use pipeline::{simulate, simulate_source, PipelineConfig, SimWindow};
+use pipeline::{simulate, simulate_source, ChunkDriver, PipelineConfig, SimWindow, WindowEngine};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::predictor::{BranchKind, UpdateScenario};
@@ -65,10 +68,33 @@ fn run(t: &Trace, scenario: UpdateScenario, cfg: &PipelineConfig) -> pipeline::S
     simulate(&mut baselines::Gshare::cbp_512k(), t, scenario, cfg)
 }
 
+/// [`run`] through a [`ChunkDriver`] of `batch`-event blocks, fed
+/// `max_blocks` blocks per chunk.
+fn run_chunked(
+    t: &Trace,
+    scenario: UpdateScenario,
+    cfg: &PipelineConfig,
+    (batch, max_blocks): (usize, usize),
+) -> pipeline::SimReport {
+    let mut engine = WindowEngine::new(baselines::Gshare::cbp_512k(), scenario, cfg);
+    let mut src = TraceStream::new(t);
+    let mut driver = ChunkDriver::new(batch);
+    while !driver.is_done() {
+        driver.run_chunk(&mut engine, &mut src, max_blocks);
+    }
+    driver.finish(&mut engine, &src)
+}
+
+/// Block sizes from one event (the scalar order) past the stream
+/// length, and chunks of one block to a handful.
+fn chunking() -> impl Strategy<Value = (usize, usize)> {
+    (1usize..300, 1usize..5)
+}
+
 proptest! {
     #[test]
     fn warmup_and_measure_partition_the_full_run_under_immediate(
-        raw in event_strategy(), w in 0u64..120, m in 1u64..120,
+        raw in event_strategy(), w in 0u64..120, m in 1u64..120, chunks in chunking(),
     ) {
         // Under `Immediate` the predictor (and cache) state at event k is
         // the same in every run, so counters are per-event values summed
@@ -76,7 +102,8 @@ proptest! {
         // difference of the two measured prefixes `[0, w+m)` and `[0, w)`.
         let t = trace_of(raw);
         let sc = UpdateScenario::Immediate;
-        let win = run(&t, sc, &windowed(SimWindow { skip: 0, warmup: w, measure: m }));
+        let win_cfg = windowed(SimWindow { skip: 0, warmup: w, measure: m });
+        let win = run_chunked(&t, sc, &win_cfg, chunks);
         let long = run(&t, sc, &windowed(SimWindow { skip: 0, warmup: 0, measure: w + m }));
         let short = run(&t, sc, &windowed(SimWindow { skip: 0, warmup: 0, measure: w }));
         prop_assert_eq!(win.mispredicts, long.mispredicts - short.mispredicts);
@@ -89,13 +116,16 @@ proptest! {
     }
 
     #[test]
-    fn zero_warmup_full_measure_is_bit_identical_under_all_scenarios(raw in event_strategy()) {
+    fn zero_warmup_full_measure_is_bit_identical_under_all_scenarios(
+        raw in event_strategy(), chunks in chunking(),
+    ) {
         let t = trace_of(raw);
         let n = t.events.len() as u64;
         for sc in ALL_SCENARIOS {
-            let full = run(&t, sc, &PipelineConfig::default());
-            let explicit = run(&t, sc, &windowed(SimWindow::default()));
-            let exact = run(&t, sc, &windowed(SimWindow { skip: 0, warmup: 0, measure: n }));
+            let full = run_chunked(&t, sc, &PipelineConfig::default(), (1, 1));
+            let explicit = run_chunked(&t, sc, &windowed(SimWindow::default()), chunks);
+            let exact_cfg = windowed(SimWindow { skip: 0, warmup: 0, measure: n });
+            let exact = run_chunked(&t, sc, &exact_cfg, chunks);
             prop_assert_eq!(&full, &explicit, "default window drifted under {:?}", sc);
             prop_assert_eq!(&full, &exact, "measure == len drifted under {:?}", sc);
         }
@@ -104,14 +134,15 @@ proptest! {
     #[test]
     fn window_skip_equals_source_skip(
         raw in event_strategy(), s in 0u64..150, w in 0u64..60, m in 1u64..60,
+        chunks in chunking(),
     ) {
         // Fast-forwarding `s` events inside the window must equal
         // positioning the source itself `s` events in (the sampled
         // slice driver does the latter via the `.ttr` v3 index).
         let t = trace_of(raw);
         for sc in [UpdateScenario::Immediate, UpdateScenario::RereadAtRetire] {
-            let via_window =
-                run(&t, sc, &windowed(SimWindow { skip: s, warmup: w, measure: m }));
+            let window_cfg = windowed(SimWindow { skip: s, warmup: w, measure: m });
+            let via_window = run_chunked(&t, sc, &window_cfg, chunks);
             let mut source = TraceStream::new(&t);
             let skipped = EventSource::skip(&mut source, s);
             prop_assert_eq!(skipped, s.min(t.events.len() as u64));

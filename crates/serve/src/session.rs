@@ -1,13 +1,14 @@
 //! One served session: handshake → streamed trace → result artifact.
 //!
 //! A session IS the offline `tage_exp system --trace` recipe
-//! ([`harness::trace_mode::run_spec_cell`]) with the trace bytes arriving
-//! over a socket instead of from a file. The socket's read half is wrapped
-//! in [`FrameFeed`] — a `Read` adapter that unwraps `data` frames — and
-//! handed to `traces::CodecRegistry::open_feed`, which sniffs the codec
-//! from the first bytes exactly as it would from a file. Because both
-//! paths converge on the same decode + simulate recipe, a served result is
-//! bit-identical to the offline run by construction (pinned by the
+//! ([`harness::trace_mode::run_spec_cell`]: `build_engine`, a
+//! `ChunkDriver` run, the decode-integrity check) with the trace bytes
+//! arriving over a socket instead of from a file. The socket's read half
+//! is wrapped in [`FrameFeed`] — a `Read` adapter that unwraps `data`
+//! frames — and handed to `traces::CodecRegistry::open_feed`, which
+//! sniffs the codec from the first bytes exactly as it would from a file.
+//! Because both paths converge on the same decode + simulate recipe, a
+//! served result is bit-identical to the offline run (pinned by the
 //! `serve_e2e` integration tests).
 //!
 //! **Backpressure** falls out of the design: the server reads the next
@@ -29,7 +30,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use harness::artifact::{scenario_from_label, RunArtifact};
-use harness::trace_mode::run_spec_cell;
 use harness::PredictorSpec;
 use pipeline::{ChunkDriver, PipelineConfig, SimWindow, SuiteReport};
 use traces::CodecRegistry;
@@ -268,43 +268,40 @@ pub(crate) fn session_body(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd
         window: SimWindow { skip: hs.skip, warmup: hs.warmup, measure: hs.measure },
         ..PipelineConfig::default()
     };
-    let mut chunk_events: Option<u64> = None;
-    let report = if hs.batch > 0 && hs.stats_every > 0 {
-        // Periodic progress: drive the engine in chunks so `stats` frames
-        // interleave with simulation. ChunkDriver is bit-identical to the
-        // one-shot engine run (pinned in pipeline::engine tests).
-        let mut engine = match spec.build_engine(scenario, &sim_cfg) {
-            Ok(e) => e,
-            Err(e) => return fail(&mut wr, ERR_SPEC, e.to_string()),
-        };
-        let mut driver = ChunkDriver::new(hs.batch);
-        let blocks_per_chunk = (hs.stats_every / hs.batch as u64).max(1) as usize;
-        while !driver.is_done() {
-            driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
-            if wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(driver.events_fed()))
-                .is_err()
-            {
-                return SessionEnd::Errored {
-                    code: ERR_DECODE.to_string(),
-                    message: "peer vanished mid-session".to_string(),
-                };
-            }
-        }
-        if let Err(e) = traces::finish(decoder.as_ref()) {
-            return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
-        }
-        chunk_events = Some(driver.events_fed());
-        driver.finish(&mut *engine, &decoder)
-    } else {
-        // Default path: exactly the offline per-(spec × trace) recipe.
-        match run_spec_cell(&spec, scenario, &mut decoder, &sim_cfg, hs.batch) {
-            Ok(r) => r,
-            Err(e) => return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string()),
-        }
+    // The offline recipe (`run_spec_cell`) in chunks: with `stats_every`
+    // set, a `stats` frame follows every chunk of about that many events;
+    // chunking never changes a result bit.
+    let mut engine = match spec.build_engine(scenario, &sim_cfg) {
+        Ok(e) => e,
+        Err(e) => return fail(&mut wr, ERR_SPEC, e.to_string()),
     };
+    let mut driver = ChunkDriver::new(hs.batch);
+    let blocks_per_chunk = match hs.stats_every {
+        0 => usize::MAX,
+        every => (every / driver.batch() as u64).max(1) as usize,
+    };
+    while !driver.is_done() {
+        driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
+        if hs.stats_every > 0
+            && wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(driver.events_fed()))
+                .is_err()
+        {
+            return SessionEnd::Errored {
+                code: ERR_DECODE.to_string(),
+                message: "peer vanished mid-session".to_string(),
+            };
+        }
+    }
+    if let Err(e) = traces::finish(decoder.as_ref()) {
+        return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
+    }
+    let fed = driver.events_fed();
+    let report = driver.finish(&mut *engine, &decoder);
 
     // --- result ----------------------------------------------------------
-    let events = chunk_events.unwrap_or(report.conditionals);
+    // The final `stats` frame carries the events fed when progress frames
+    // were requested, the scored conditional branches otherwise.
+    let events = if hs.stats_every > 0 { fed } else { report.conditionals };
     let suite = SuiteReport::new(vec![report]);
     let artifact =
         RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, hs.top);

@@ -166,7 +166,9 @@ pub struct Handshake {
     pub spec: String,
     /// Update-scenario label: `I`, `A`, `B`, or `C`.
     pub scenario: String,
-    /// Block-sim batch size; `0` selects the scalar (non-batched) engine.
+    /// Events per simulated block, `1..=pipeline::MAX_BATCH`. Never
+    /// changes a result bit; anything outside the range is a
+    /// `bad-handshake`.
     pub batch: usize,
     /// Simulation-window prefix skipped entirely (events).
     pub skip: u64,
@@ -247,7 +249,14 @@ impl Handshake {
                 "wire" => hs.wire = value.to_string(),
                 "spec" => hs.spec = value.to_string(),
                 "scenario" => hs.scenario = value.to_string(),
-                "batch" => hs.batch = parse_num(key, value)? as usize,
+                "batch" => {
+                    let n = parse_num(key, value)?;
+                    let max = pipeline::MAX_BATCH;
+                    if !(1..=max as u64).contains(&n) {
+                        return Err(bad(format!("handshake batch {n} is outside 1..={max}")));
+                    }
+                    hs.batch = n as usize;
+                }
                 "skip" => hs.skip = parse_num(key, value)?,
                 "warmup" => hs.warmup = parse_num(key, value)?,
                 "measure" => hs.measure = parse_num(key, value)?,
@@ -424,6 +433,15 @@ mod tests {
         let err = Handshake::parse(old).unwrap_err();
         assert!(err.to_string().contains("wire schema mismatch"));
         assert!(Handshake::parse(b"wire=tage.wire/1\n").is_err(), "missing spec");
+        // The block size is bounded before anything is allocated for it.
+        let max = pipeline::MAX_BATCH;
+        for batch in ["0".to_string(), (max + 1).to_string(), u64::MAX.to_string()] {
+            let hello = format!("wire=tage.wire/1\nspec=tage\nbatch={batch}\n");
+            let err = Handshake::parse(hello.as_bytes()).unwrap_err();
+            assert!(err.to_string().contains("outside 1..="), "batch={batch}: {err}");
+        }
+        let hello = format!("wire=tage.wire/1\nspec=tage\nbatch={max}\n");
+        assert_eq!(Handshake::parse(hello.as_bytes()).unwrap().batch, max);
     }
 
     #[test]

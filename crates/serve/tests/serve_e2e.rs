@@ -232,7 +232,17 @@ fn every_fault_kills_only_its_own_session() {
     }
     healthy_session(addr, &file, "after client disconnect");
 
-    // 6. Planted panic: the session dies behind the fence and reports a
+    // 6. Out-of-range block size: a typed refusal before the session
+    //    allocates anything for it.
+    for batch in ["0", "18446744073709551615"] {
+        let (mut rd, mut wr) = raw_connect(addr);
+        let hello = format!("wire={}\nspec=tage\nbatch={batch}\n", wire::WIRE_SCHEMA);
+        wire::write_frame(&mut wr, FrameType::Hello, hello.as_bytes()).unwrap();
+        expect_error(&mut rd, "bad-handshake", &format!("batch={batch}"));
+    }
+    healthy_session(addr, &file, "after out-of-range batch");
+
+    // 7. Planted panic: the session dies behind the fence and reports a
     //    typed error; the server survives.
     {
         let mut opts = client_opts(addr);

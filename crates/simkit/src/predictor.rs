@@ -20,10 +20,9 @@
 //! values read, side-predictor decisions).
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a control-flow instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch — the only kind that is *predicted* here.
     Conditional,
@@ -46,7 +45,7 @@ impl BranchKind {
 }
 
 /// Static information about a branch presented to the predictor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Instruction address.
     pub pc: u64,
@@ -64,7 +63,7 @@ impl BranchInfo {
 }
 
 /// The four predictor-update scenarios of §4.1.2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateScenario {
     /// `[I]` — oracle immediate update at fetch time (upper bound).
     Immediate,
@@ -215,6 +214,60 @@ pub trait Predictor {
 
     /// Clears the access counters (e.g. after warm-up).
     fn reset_stats(&mut self);
+}
+
+/// A borrowed predictor is a predictor: lets an engine drive a predictor
+/// its caller keeps (and reads back after the run).
+impl<P: Predictor + ?Sized> Predictor for &mut P {
+    type Flight = P::Flight;
+
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        (**self).storage_bits()
+    }
+
+    #[inline]
+    fn predict(&mut self, b: &BranchInfo) -> (bool, Self::Flight) {
+        (**self).predict(b)
+    }
+
+    #[inline]
+    fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, flight: &mut Self::Flight) {
+        (**self).fetch_commit(b, outcome, flight)
+    }
+
+    #[inline]
+    fn execute(&mut self, b: &BranchInfo, outcome: bool, flight: &mut Self::Flight) {
+        (**self).execute(b, outcome, flight)
+    }
+
+    #[inline]
+    fn retire(
+        &mut self,
+        b: &BranchInfo,
+        outcome: bool,
+        predicted: bool,
+        flight: Self::Flight,
+        scenario: UpdateScenario,
+    ) {
+        (**self).retire(b, outcome, predicted, flight, scenario)
+    }
+
+    #[inline]
+    fn note_uncond(&mut self, b: &BranchInfo) {
+        (**self).note_uncond(b)
+    }
+
+    fn stats(&self) -> AccessStats {
+        (**self).stats()
+    }
+
+    fn reset_stats(&mut self) {
+        (**self).reset_stats()
+    }
 }
 
 #[cfg(test)]
