@@ -64,6 +64,7 @@ use crate::ium::Ium;
 use crate::loop_pred::LoopPredictor;
 use crate::stack::{PredictorStack, SideStage, StageKind, DEFAULT_IUM_CAPACITY};
 use crate::tage::Tage;
+use simkit::history::MAX_HISTORY;
 use std::fmt;
 use std::str::FromStr;
 
@@ -146,6 +147,12 @@ fn check_history(l1: usize, lmax: usize, token: &str) -> Result<(), SpecError> {
         return Err(SpecError::BadArg {
             token: token.to_string(),
             reason: "history bounds need 1 <= l1 < lmax",
+        });
+    }
+    if lmax >= MAX_HISTORY {
+        return Err(SpecError::BadArg {
+            token: token.to_string(),
+            reason: "the longest history must fit the global history (lmax < MAX_HISTORY)",
         });
     }
     Ok(())
@@ -808,6 +815,14 @@ mod tests {
             "tage:b40,6,1000".parse::<SystemSpec>().unwrap_err(),
             SpecError::BadArg { .. }
         ));
+        // History lengths must fit the global history register.
+        for spec in ["tage:h4,10000", "tage:h4,8192", "tage:b8,6,8192"] {
+            assert!(
+                matches!(spec.parse::<SystemSpec>().unwrap_err(), SpecError::BadArg { .. }),
+                "{spec}"
+            );
+        }
+        assert!("tage:h4,8191".parse::<SystemSpec>().is_ok());
         assert!(matches!(
             "bogus".parse::<SystemSpec>().unwrap_err(),
             SpecError::UnknownToken { .. }

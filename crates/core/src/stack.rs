@@ -381,34 +381,26 @@ impl Predictor for PredictorStack {
                 // (§5.1).
                 SideStage::Ium(ium) => {
                     let (comp, idx) = tf.provider_entry();
-                    let (outcomes, n) = ium.executed_outcomes(comp, idx);
-                    let mut overrode = None;
-                    if n > 0 {
-                        let mimicked = match tf.provider {
-                            Some(p) => {
-                                let mut c = simkit::SignedCounter::with_value(
-                                    ctr_bits,
-                                    tf.ctrs[p as usize],
-                                );
-                                for &o in &outcomes[..n] {
-                                    c.update(o);
-                                }
-                                c.is_taken()
-                            }
-                            None => {
-                                // Bimodal provider: replay onto the 2-bit state.
-                                let mut c = (tf.base.pred as i16) * 2 + tf.base.hyst as i16;
-                                for &o in &outcomes[..n] {
-                                    c = if o { (c + 1).min(3) } else { (c - 1).max(0) };
-                                }
-                                c >= 2
-                            }
-                        };
-                        if mimicked != pred {
-                            ium.note_override();
-                            overrode = Some(mimicked);
-                            pred = mimicked;
+                    let mimicked = match tf.provider {
+                        Some(p) => {
+                            let mut c =
+                                simkit::SignedCounter::with_value(ctr_bits, tf.ctrs[p as usize]);
+                            (ium.replay(comp, idx, |o| c.update(o)) > 0).then_some(c.is_taken())
                         }
+                        None => {
+                            // Bimodal provider: replay onto the 2-bit state.
+                            let mut c = (tf.base.pred as i16) * 2 + tf.base.hyst as i16;
+                            let n = ium.replay(comp, idx, |o| {
+                                c = if o { (c + 1).min(3) } else { (c - 1).max(0) };
+                            });
+                            (n > 0).then_some(c >= 2)
+                        }
+                    };
+                    let mut overrode = None;
+                    if let Some(mimicked) = mimicked.filter(|&m| m != pred) {
+                        ium.note_override();
+                        overrode = Some(mimicked);
+                        pred = mimicked;
                     }
                     main_pred = pred;
                     StageFlight::Ium { seq: 0, overrode }

@@ -49,7 +49,12 @@ pub struct TaggedTable {
     tag_width: u8,
     ctr_bits: u8,
     hist_len: usize,
-    table_num: usize,
+    // Index and tag hashing constants, fixed at construction so the
+    // per-branch `index`/`tag` do only the hashing arithmetic.
+    path_mask: u64,
+    pc_shift: u32,
+    index_mask: usize,
+    tag_mask: u64,
     folded_idx: FoldedHistory,
     folded_tag0: FoldedHistory,
     folded_tag1: FoldedHistory,
@@ -69,7 +74,10 @@ impl TaggedTable {
             tag_width,
             ctr_bits,
             hist_len,
-            table_num,
+            path_mask: mask(16.min(hist_len as u32)),
+            pc_shift: size_bits - (table_num as u32 & 3),
+            index_mask: (1 << size_bits) - 1,
+            tag_mask: mask(u32::from(tag_width)),
             folded_idx: FoldedHistory::new(hist_len, size_bits),
             folded_tag0: FoldedHistory::new(hist_len, u32::from(tag_width)),
             folded_tag1: FoldedHistory::new(hist_len, u32::from(tag_width).saturating_sub(1).max(1)),
@@ -92,31 +100,36 @@ impl TaggedTable {
     #[inline]
     pub fn index(&self, pc: u64, path: &PathHistory) -> usize {
         let pc = pc >> 2;
-        let pmix = (path.value() & mask(16.min(self.hist_len as u32)))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let pmix = (path.value() & self.path_mask).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             >> (64 - self.size_bits);
         let h = self.folded_idx.value();
-        ((pc ^ (pc >> (self.size_bits as u64 - (self.table_num as u64 & 3))) ^ h ^ pmix) as usize)
-            & ((1 << self.size_bits) - 1)
+        ((pc ^ (pc >> self.pc_shift) ^ h ^ pmix) as usize) & self.index_mask
     }
 
     /// Partial tag for this (PC, history).
     #[inline]
     pub fn tag(&self, pc: u64) -> u16 {
         let pc = pc >> 2;
-        ((pc ^ self.folded_tag0.value() ^ (self.folded_tag1.value() << 1)) & mask(u32::from(self.tag_width)))
-            as u16
+        ((pc ^ self.folded_tag0.value() ^ (self.folded_tag1.value() << 1)) & self.tag_mask) as u16
     }
 
     /// Reads an entry.
     #[inline]
     pub fn entry(&self, index: usize) -> TaggedEntry {
+        let (ctr, tag, u) = self.read_raw(index);
+        TaggedEntry { ctr: SignedCounter::with_value(self.ctr_bits, ctr), tag, u }
+    }
+
+    /// Reads an entry's packed fields as `(ctr, tag, u)` without
+    /// rebuilding a [`SignedCounter`]: the only writer,
+    /// [`TaggedTable::write`], stores clamped counter values, so the raw
+    /// value is already in range.
+    #[inline]
+    fn read_raw(&self, index: usize) -> (i16, u16, bool) {
         let e = self.entries[index];
-        TaggedEntry {
-            ctr: SignedCounter::with_value(self.ctr_bits, i16::from(e.ctr)),
-            tag: e.tag,
-            u: e.u,
-        }
+        let ctr = i16::from(e.ctr);
+        debug_assert!((-(1 << (self.ctr_bits - 1))..1 << (self.ctr_bits - 1)).contains(&ctr));
+        (ctr, e.tag, e.u)
     }
 
     /// Hints the cache hierarchy that `index` is about to be read. The
@@ -152,6 +165,7 @@ impl TaggedTable {
     /// values is exactly the old whole-entry comparison.
     #[inline]
     pub fn write(&mut self, index: usize, entry: TaggedEntry) -> bool {
+        debug_assert_eq!(entry.ctr.bits(), self.ctr_bits, "counter width differs from the table's");
         let packed = PackedEntry { ctr: entry.ctr.get() as i8, tag: entry.tag, u: entry.u };
         let changed = self.entries[index] != packed;
         self.entries[index] = packed;
@@ -312,10 +326,10 @@ impl TaggedBank {
     ) -> u16 {
         let mut hits = 0u16;
         for (t, table) in self.tables.iter().enumerate() {
-            let e = table.entry(indices[t] as usize);
-            ctrs[t] = e.ctr.get();
-            us[t] = e.u;
-            if e.tag == tags[t] {
+            let (ctr, tag, u) = table.read_raw(indices[t] as usize);
+            ctrs[t] = ctr;
+            us[t] = u;
+            if tag == tags[t] {
                 hits |= 1 << t;
             }
         }
@@ -495,6 +509,50 @@ mod tests {
         assert!((t.useful_fraction() - 1.0).abs() < 1e-9);
         t.reset_useful();
         assert_eq!(t.useful_fraction(), 0.0);
+    }
+
+    /// `index` as computed before its constants moved to construction.
+    fn unhoisted_index(t: &TaggedTable, table_num: usize, pc: u64, path: &PathHistory) -> usize {
+        let pc = pc >> 2;
+        let pmix = (path.value() & mask(16.min(t.hist_len as u32)))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (64 - t.size_bits);
+        let h = t.folded_idx.value();
+        ((pc ^ (pc >> (t.size_bits as u64 - (table_num as u64 & 3))) ^ h ^ pmix) as usize)
+            & ((1 << t.size_bits) - 1)
+    }
+
+    /// `tag` as computed before its mask moved to construction.
+    fn unhoisted_tag(t: &TaggedTable, pc: u64) -> u16 {
+        let pc = pc >> 2;
+        ((pc ^ t.folded_tag0.value() ^ (t.folded_tag1.value() << 1)) & mask(u32::from(t.tag_width)))
+            as u16
+    }
+
+    #[test]
+    fn hoisted_keys_match_the_unhoisted_formulas() {
+        let cfg = TageConfig::reference_64kb();
+        let mut tables: Vec<(usize, TaggedTable)> =
+            TaggedBank::new(&cfg).tables.into_iter().enumerate().map(|(i, t)| (i + 1, t)).collect();
+        // Histories shorter than the 16-bit path mask, at every
+        // `table_num & 3` PC shift.
+        for table_num in 1..=4 {
+            tables.push((table_num, TaggedTable::new(table_num, 9, 8, 2 + table_num * 3, 3)));
+        }
+        assert!(tables.iter().any(|(_, t)| t.hist_len() < 16));
+        let mut gh = GlobalHistory::new();
+        let mut path = PathHistory::new(16);
+        let mut rng = simkit::rng::Xoshiro256::seed_from(4);
+        for _ in 0..3000 {
+            gh.push(rng.gen_bool(0.5));
+            path.push(rng.next_u64());
+            let pc = rng.next_u64();
+            for (num, t) in &mut tables {
+                t.update_history(&gh);
+                assert_eq!(t.index(pc, &path), unhoisted_index(t, *num, pc, &path), "T{num}");
+                assert_eq!(t.tag(pc), unhoisted_tag(t, pc), "T{num}");
+            }
+        }
     }
 
     #[test]

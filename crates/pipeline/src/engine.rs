@@ -158,7 +158,6 @@ struct Inflight<F> {
     outcome: bool,
     predicted: bool,
     flight: F,
-    exec_at: usize,
     retire_at: usize,
     executed: bool,
 }
@@ -166,12 +165,15 @@ struct Inflight<F> {
 /// The in-flight window plus the accumulated counters of one simulation,
 /// advanced one event at a time by [`WindowState::step`].
 struct WindowState<F> {
-    // INVARIANT: `base` is the sequence number of `window.front()`, and
-    // `pending_exec` holds sequence numbers of not-yet-executed window
-    // entries in program order — `step` and `drain` maintain both in
-    // lockstep with every push/pop.
+    // INVARIANT: `base` is the sequence number of `window.front()`;
+    // `pending_exec` holds `(exec_at, seq)` of the not-yet-executed window
+    // entries in program order, and `next_exec` is a lower bound on their
+    // `exec_at`s (`usize::MAX` when none is pending) — `step` maintains all
+    // three with every push/pop. A retiring entry has always executed
+    // (`retire_at > exec_at`), so retirement never touches the list.
     window: VecDeque<Inflight<F>>,
-    pending_exec: VecDeque<usize>,
+    pending_exec: Vec<(usize, usize)>,
+    next_exec: usize,
     base: usize,
     fetch_index: usize,
     core: CoreModel,
@@ -201,7 +203,8 @@ impl<F> WindowState<F> {
     fn new(scenario: UpdateScenario, cfg: &PipelineConfig) -> Self {
         Self {
             window: VecDeque::with_capacity(cfg.retire_lag + 64),
-            pending_exec: VecDeque::new(),
+            pending_exec: Vec::new(),
+            next_exec: usize::MAX,
             base: 0,
             fetch_index: 0,
             core: cfg.core.clone(),
@@ -281,40 +284,40 @@ impl<F> WindowState<F> {
             predictor.execute(&b, ev.taken, &mut flight);
             predictor.retire(&b, ev.taken, pred, flight, self.scenario);
         } else {
-            self.pending_exec.push_back(self.base + self.window.len());
+            let exec_at = self.fetch_index + exec_lag;
+            self.pending_exec.push((exec_at, self.base + self.window.len()));
+            self.next_exec = self.next_exec.min(exec_at);
             self.window.push_back(Inflight {
                 branch: b,
                 outcome: ev.taken,
                 predicted: pred,
                 flight,
-                exec_at: self.fetch_index + exec_lag,
                 retire_at: self.fetch_index + self.retire_lag.max(exec_lag + 1),
                 executed: false,
             });
             // Execute every branch whose resolution completed, in program
-            // order.
-            let mut k = 0;
-            while k < self.pending_exec.len() {
-                let seq = self.pending_exec[k];
-                let inflight = &mut self.window[seq - self.base];
-                if inflight.exec_at <= self.fetch_index {
-                    let ib = inflight.branch;
-                    let io = inflight.outcome;
-                    predictor.execute(&ib, io, &mut inflight.flight);
+            // order. The list is only walked once its earliest entry is due.
+            if self.next_exec <= self.fetch_index {
+                let (fetch_index, base) = (self.fetch_index, self.base);
+                let window = &mut self.window;
+                let mut next_exec = usize::MAX;
+                self.pending_exec.retain(|&(exec_at, seq)| {
+                    if exec_at > fetch_index {
+                        next_exec = next_exec.min(exec_at);
+                        return true;
+                    }
+                    let inflight = &mut window[seq - base];
+                    predictor.execute(&inflight.branch, inflight.outcome, &mut inflight.flight);
                     inflight.executed = true;
-                    self.pending_exec.remove(k);
-                } else {
-                    k += 1;
-                }
+                    false
+                });
+                self.next_exec = next_exec;
             }
             // Retire in order.
             while self.window.front().is_some_and(|f| f.retire_at <= self.fetch_index) {
                 // INVARIANT: the loop condition just witnessed a front.
-                let mut f = self.window.pop_front().unwrap();
-                if !f.executed {
-                    self.pending_exec.pop_front();
-                    predictor.execute(&f.branch, f.outcome, &mut f.flight);
-                }
+                let f = self.window.pop_front().unwrap();
+                debug_assert!(f.executed, "retiring before execute");
                 self.base += 1;
                 predictor.retire(&f.branch, f.outcome, f.predicted, f.flight, self.scenario);
             }
@@ -322,12 +325,12 @@ impl<F> WindowState<F> {
         self.fetch_index += 1;
     }
 
-    /// Drains the window at trace end (`base` no longer needs maintaining:
-    /// nothing indexes the window after this).
+    /// Drains the window at trace end (`base`, `pending_exec` and
+    /// `next_exec` no longer need maintaining: nothing indexes the window
+    /// after this).
     fn drain<P: Predictor<Flight = F>>(&mut self, predictor: &mut P) {
         while let Some(mut f) = self.window.pop_front() {
             if !f.executed {
-                self.pending_exec.pop_front();
                 predictor.execute(&f.branch, f.outcome, &mut f.flight);
             }
             predictor.retire(&f.branch, f.outcome, f.predicted, f.flight, self.scenario);

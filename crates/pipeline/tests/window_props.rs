@@ -14,10 +14,13 @@
 //! Each windowed run goes through [`ChunkDriver`] at a drawn block size
 //! and chunk length, so every equivalence also holds across batching.
 
-use pipeline::{simulate, simulate_source, ChunkDriver, PipelineConfig, SimWindow, WindowEngine};
+use pipeline::{
+    simulate, simulate_source, ChunkDriver, CoreModel, PipelineConfig, SimWindow, WindowEngine,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use simkit::predictor::{BranchKind, UpdateScenario};
+use simkit::predictor::{BranchInfo, BranchKind, Predictor, UpdateScenario};
+use simkit::stats::AccessStats;
 use workloads::event::{EventSource, Trace, TraceEvent, TraceStream};
 
 const ALL_SCENARIOS: [UpdateScenario; 4] = [
@@ -83,6 +86,56 @@ fn run_chunked(
         driver.run_chunk(&mut engine, &mut src, max_blocks);
     }
     driver.finish(&mut engine, &src)
+}
+
+/// A predictor that only records the engine's calls: its flight is the
+/// branch's fetch index, and each execute/retire is logged with the
+/// number of predictions made so far (`fetch_index + 1` inside a step).
+#[derive(Default)]
+struct Recorder {
+    predicts: usize,
+    /// `(is_execute, branch, predicts)` in call order.
+    log: Vec<(bool, usize, usize)>,
+}
+
+impl Predictor for Recorder {
+    type Flight = usize;
+
+    fn name(&self) -> String {
+        "recorder".into()
+    }
+
+    fn storage_bits(&self) -> u64 {
+        0
+    }
+
+    fn predict(&mut self, _b: &BranchInfo) -> (bool, usize) {
+        self.predicts += 1;
+        (false, self.predicts - 1)
+    }
+
+    fn fetch_commit(&mut self, _b: &BranchInfo, _outcome: bool, _flight: &mut usize) {}
+
+    fn execute(&mut self, _b: &BranchInfo, _outcome: bool, flight: &mut usize) {
+        self.log.push((true, *flight, self.predicts));
+    }
+
+    fn retire(
+        &mut self,
+        _b: &BranchInfo,
+        _outcome: bool,
+        _predicted: bool,
+        flight: usize,
+        _scenario: UpdateScenario,
+    ) {
+        self.log.push((false, flight, self.predicts));
+    }
+
+    fn stats(&self) -> AccessStats {
+        AccessStats::default()
+    }
+
+    fn reset_stats(&mut self) {}
 }
 
 /// Block sizes from one event (the scalar order) past the stream
@@ -158,5 +211,50 @@ proptest! {
             prop_assert_eq!(via_window.conditionals, via_source.conditionals, "{:?}", sc);
             prop_assert_eq!(via_window.stats, via_source.stats, "{:?}", sc);
         }
+    }
+
+    #[test]
+    fn execute_happens_once_at_its_resolution_step_in_program_order(
+        raw in vec(((0u64..64, 0u8..8, any::<bool>()), (0u16..16, 0u64..100_000)), 1usize..300),
+        retire_lag in 1usize..40,
+    ) {
+        // Loads spread over ~6 MiB hit every cache level, so execute lags
+        // range from `min_exec_lag` to the memory-latency lag, and a short
+        // retire lag makes some branches retire at `exec_lag + 1`.
+        let t = trace_of(raw);
+        let cfg = PipelineConfig { retire_lag, ..PipelineConfig::default() };
+        let mut rec = Recorder::default();
+        simulate(&mut rec, &t, UpdateScenario::RereadAtRetire, &cfg);
+
+        // The resolution step of each conditional, from a fresh core.
+        let mut core = CoreModel::default();
+        let exec_at: Vec<usize> = t
+            .events
+            .iter()
+            .filter(|e| e.kind.is_conditional())
+            .enumerate()
+            .map(|(i, e)| i + core.resolve(e.load_addr).1)
+            .collect();
+        let n = exec_at.len();
+        prop_assert_eq!(rec.predicts, n);
+        // Branches resolving past the last fetch execute while the window
+        // drains at trace end, in program order, after every in-trace
+        // execute.
+        let mut want: Vec<usize> = (0..n).collect();
+        want.sort_by_key(|&i| (exec_at[i].min(n), i));
+        let got: Vec<usize> = rec.log.iter().filter(|c| c.0).map(|c| c.1).collect();
+        prop_assert_eq!(&got, &want, "execute order");
+        let mut executed = vec![false; n];
+        for &(is_execute, i, predicts) in &rec.log {
+            if is_execute {
+                // The first step with `fetch_index >= exec_at`.
+                prop_assert_eq!(predicts, (exec_at[i] + 1).min(n), "branch {} executed late", i);
+                executed[i] = true;
+            } else {
+                prop_assert!(executed[i], "branch {} retired before it executed", i);
+            }
+        }
+        let retired: Vec<usize> = rec.log.iter().filter(|c| !c.0).map(|c| c.1).collect();
+        prop_assert_eq!(retired, (0..n).collect::<Vec<_>>(), "retire order");
     }
 }

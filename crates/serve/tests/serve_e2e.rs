@@ -253,6 +253,17 @@ fn every_fault_kills_only_its_own_session() {
     }
     healthy_session(addr, &file, "after injected panic");
 
+    // 8. A spec whose history outgrows the global history register: a
+    //    typed spec refusal, not a panic inside the engine.
+    {
+        let mut opts = client_opts(addr);
+        opts.handshake.spec = "tage:h4,10000".to_string();
+        let res = run_one(&file, &opts).unwrap();
+        let err = res.error.expect("over-long history must be refused");
+        assert_eq!(err.code, "spec", "got {err:?}");
+    }
+    healthy_session(addr, &file, "after over-long history");
+
     neighbor.join().expect("concurrent neighbor stayed healthy");
     stop_server(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

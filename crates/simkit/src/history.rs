@@ -11,14 +11,15 @@
 
 use crate::bits::mask;
 
-/// Maximum global history capacity (must exceed the longest geometric
-/// history length used anywhere; the paper's maximum is 5000 in §6.2).
-const CAPACITY: usize = 8192;
+/// Global history capacity in bits. Every history length folded or read
+/// must be strictly below it (the paper's maximum is 5000 in §6.2);
+/// predictor specs are validated against it.
+pub const MAX_HISTORY: usize = 8192;
 
 /// A circular-buffer global branch direction history.
 ///
 /// Bit 0 is the most recent branch outcome. The buffer never forgets until
-/// `CAPACITY` bits; predictors only ever look `length` bits back.
+/// `MAX_HISTORY` bits; predictors only ever look `length` bits back.
 ///
 /// # Example
 ///
@@ -35,7 +36,7 @@ const CAPACITY: usize = 8192;
 pub struct GlobalHistory {
     /// Fixed-size boxed array: masked indexing is provably in-bounds, so
     /// the (very hot) `bit` reads compile without bounds checks.
-    buf: Box<[u8; CAPACITY]>,
+    buf: Box<[u8; MAX_HISTORY]>,
     /// Index of the most recent bit.
     head: usize,
     pushed: u64,
@@ -44,15 +45,16 @@ pub struct GlobalHistory {
 impl GlobalHistory {
     /// Creates an empty history (all zeros).
     pub fn new() -> Self {
-        // INVARIANT: the boxed slice is built with length CAPACITY on the
+        // INVARIANT: the boxed slice is built with length MAX_HISTORY on the
         // previous token, so the fixed-size conversion cannot fail.
-        Self { buf: vec![0u8; CAPACITY].into_boxed_slice().try_into().unwrap(), head: 0, pushed: 0 }
+        let buf = vec![0u8; MAX_HISTORY].into_boxed_slice().try_into().unwrap();
+        Self { buf, head: 0, pushed: 0 }
     }
 
     /// Pushes the newest branch outcome.
     #[inline]
     pub fn push(&mut self, taken: bool) {
-        self.head = (self.head + CAPACITY - 1) & (CAPACITY - 1);
+        self.head = (self.head + MAX_HISTORY - 1) & (MAX_HISTORY - 1);
         self.buf[self.head] = taken as u8;
         self.pushed = self.pushed.wrapping_add(1);
     }
@@ -60,8 +62,8 @@ impl GlobalHistory {
     /// Returns history bit `i` (0 = most recent) as 0 or 1.
     #[inline]
     pub fn bit(&self, i: usize) -> u64 {
-        debug_assert!(i < CAPACITY);
-        u64::from(self.buf[(self.head + i) & (CAPACITY - 1)])
+        debug_assert!(i < MAX_HISTORY);
+        u64::from(self.buf[(self.head + i) & (MAX_HISTORY - 1)])
     }
 
     /// Number of outcomes pushed so far.
@@ -133,6 +135,8 @@ pub struct FoldedHistory {
     length: usize,
     width: u32,
     outpoint: u32,
+    /// `mask(width)`, fixed at construction.
+    mask: u64,
 }
 
 impl FoldedHistory {
@@ -140,11 +144,13 @@ impl FoldedHistory {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is 0 or greater than 32, or `length` is 0.
+    /// Panics if `width` is 0 or greater than 32, or `length` is 0 or
+    /// not below [`MAX_HISTORY`].
     pub fn new(length: usize, width: u32) -> Self {
         assert!(length > 0, "folded history length must be positive");
+        assert!(length < MAX_HISTORY, "folded history length {length} exceeds the global history");
         assert!((1..=32).contains(&width), "folded history width {width} out of range");
-        Self { comp: 0, length, width, outpoint: (length as u32) % width }
+        Self { comp: 0, length, width, outpoint: (length as u32) % width, mask: mask(width) }
     }
 
     /// Incorporates the newest history bit (bit 0 of `gh`) and retires the
@@ -164,7 +170,7 @@ impl FoldedHistory {
         self.comp = (self.comp << 1) | in_bit;
         self.comp ^= out_bit << self.outpoint;
         self.comp ^= self.comp >> self.width;
-        self.comp &= mask(self.width);
+        self.comp &= self.mask;
     }
 
     /// The current folded value (always `< 2^width`).
@@ -344,10 +350,10 @@ mod tests {
     #[test]
     fn global_history_wraps() {
         let mut h = GlobalHistory::new();
-        for i in 0..(CAPACITY * 2 + 17) {
+        for i in 0..(MAX_HISTORY * 2 + 17) {
             h.push(i % 2 == 0);
         }
-        // Last pushed index: i = 2*CAPACITY+16, even => taken.
+        // Last pushed index: i = 2*MAX_HISTORY+16, even => taken.
         assert_eq!(h.bit(0), 1);
         assert_eq!(h.bit(1), 0);
     }
