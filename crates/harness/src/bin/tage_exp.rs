@@ -15,12 +15,10 @@
 //! Experiments are declarative: each is a table of (predictor spec ×
 //! update scenario) rows fed to one generic sweep runner. `tage_exp all`
 //! prefetches every experiment's suites onto the work-stealing pool
-//! before rendering the first table, so independent experiments overlap
-//! (set `TAGE_NO_PREFETCH=1` for the serial baseline); duplicate suites
-//! are memoized by canonical spec string and run exactly once. Set
-//! `TAGE_TRACE_CACHE=<dir>` to persist generated traces across
-//! invocations, or pass `--stream` to skip suite materialization entirely
-//! (each job regenerates its trace lazily; bit-identical results).
+//! before rendering the first table, so independent experiments overlap;
+//! duplicate suites are memoized by canonical spec string and run exactly
+//! once. Pass `--stream` to skip suite materialization entirely (each job
+//! regenerates its trace lazily; bit-identical results).
 //!
 //! `tage_exp system` simulates *any* user-composed predictor stack over
 //! the suite — including compositions no experiment table covers, e.g.
@@ -158,11 +156,7 @@ fn main() {
     };
     println!("# tage_exp: scale={scale:?} ({} branches/trace)", scale.branches());
     let start = std::time::Instant::now();
-    let mut opts = ExpOptions::from_env();
-    opts.threads = threads;
-    opts.stream = stream;
-    opts.branch_stats = branch_stats;
-    let ctx = ExpContext::with_options(scale, opts);
+    let ctx = ExpContext::with_options(scale, ExpOptions { threads, stream, branch_stats });
     if branch_stats {
         println!("# branch stats: per-static-branch profiler on (top {top} land in artifacts)");
     }
@@ -315,8 +309,6 @@ fn print_usage() {
     println!("                   10k warmup + 40k measure, the trace-mode matrix)");
     println!("  --full-check PCT sample mode: also run every (spec, file) in full and");
     println!("                   exit 1 when any sampled MPPKI is off by > PCT percent");
-    println!("  TAGE_TRACE_CACHE=<dir>  persist generated traces across runs");
-    println!("  TAGE_NO_PREFETCH=1      disable eager cross-experiment suite prefetch");
     println!("experiments:");
     for exp in EXPERIMENTS {
         println!("  {:<12} {}", exp.id, exp.description);
@@ -440,11 +432,7 @@ fn system_mode(args: &[String]) -> i32 {
     }
     let start = std::time::Instant::now();
     println!("# tage_exp system: scale={scale:?}, scenario {scenario}, {} spec(s)", specs.len());
-    let mut opts = ExpOptions::from_env();
-    opts.threads = threads;
-    opts.stream = stream;
-    opts.branch_stats = branch_stats;
-    let ctx = ExpContext::with_options(scale, opts);
+    let ctx = ExpContext::with_options(scale, ExpOptions { threads, stream, branch_stats });
     for spec in &specs {
         ctx.prefetch_spec(spec, scenario);
     }

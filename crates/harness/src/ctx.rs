@@ -4,8 +4,7 @@
 //! The suite backs the context in one of two modes:
 //!
 //! * **materialized** (default) — the 40 traces are generated once up
-//!   front (in parallel, optionally through the on-disk cache) and shared
-//!   with the worker threads;
+//!   front (in parallel) and shared with the worker threads;
 //! * **streamed** (`ExpOptions::stream`) — only the 40 [`TraceSpec`]
 //!   recipes are kept; every simulation job regenerates its trace lazily
 //!   through [`TraceSpec::stream`], so suite memory never exceeds one
@@ -19,7 +18,6 @@ use pipeline::{BlockSim, PipelineConfig, SuiteReport, WindowEngine};
 use simkit::predictor::{Predictor, UpdateScenario};
 use std::sync::Arc;
 use workloads::event::{EventSource, TraceStream};
-use workloads::io::TraceCache;
 use workloads::suite::{generate_parallel, suite, Scale};
 use workloads::{Trace, TraceStats};
 
@@ -29,10 +27,6 @@ pub struct ExpOptions {
     /// Worker threads for the scheduler pool (`None`: available
     /// parallelism, capped at 16).
     pub threads: Option<usize>,
-    /// On-disk trace cache directory; generated traces are persisted here
-    /// and reloaded on later invocations. Ignored in stream mode (there is
-    /// nothing to persist).
-    pub trace_cache: Option<std::path::PathBuf>,
     /// Stream-first mode: regenerate traces inside each job instead of
     /// materializing the suite.
     pub stream: bool,
@@ -41,20 +35,6 @@ pub struct ExpOptions {
     /// through this context. Off by default; aggregates are unchanged
     /// either way.
     pub branch_stats: bool,
-}
-
-impl ExpOptions {
-    /// Options from the environment: `TAGE_TRACE_CACHE=<dir>` enables the
-    /// on-disk trace cache (used by the binaries; tests construct options
-    /// explicitly to stay hermetic).
-    pub fn from_env() -> Self {
-        Self {
-            threads: None,
-            trace_cache: std::env::var_os("TAGE_TRACE_CACHE").map(Into::into),
-            stream: false,
-            branch_stats: false,
-        }
-    }
 }
 
 /// Everything an experiment needs: the 40-trace suite (materialized or
@@ -76,16 +56,14 @@ impl ExpContext {
     }
 
     /// Builds the context at `scale`. In materialized mode traces are
-    /// generated in parallel (through the on-disk cache when one is
-    /// configured); in stream mode only the recipes are built.
+    /// generated in parallel; in stream mode only the recipes are built.
     pub fn with_options(scale: Scale, opts: ExpOptions) -> Self {
         let runner = SuiteRunner::new(opts.threads);
         let source = if opts.stream {
             SuiteSource::Streamed(Arc::new(suite(scale)))
         } else {
-            let cache = opts.trace_cache.and_then(|dir| TraceCache::new(dir).ok());
             let threads = Some(runner.pool().threads());
-            SuiteSource::Materialized(Arc::new(generate_parallel(scale, threads, cache.as_ref())))
+            SuiteSource::Materialized(Arc::new(generate_parallel(scale, threads)))
         };
         let cfg = PipelineConfig { branch_stats: opts.branch_stats, ..PipelineConfig::default() };
         Self { scale, cfg, source, runner }
@@ -271,30 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_round_trips_through_context() {
-        let dir = std::env::temp_dir()
-            .join(format!("tage-ctx-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = ExpOptions {
-            threads: Some(2),
-            trace_cache: Some(dir.clone()),
-            ..Default::default()
-        };
-        let cold = ExpContext::with_options(Scale::Tiny, opts.clone());
-        let warm = ExpContext::with_options(Scale::Tiny, opts);
-        assert_eq!(*cold.materialized().unwrap(), *warm.materialized().unwrap());
-        let plain = ExpContext::new(Scale::Tiny);
-        assert_eq!(
-            *warm.materialized().unwrap(),
-            *plain.materialized().unwrap(),
-            "cache must not change trace content"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stream_mode_matches_materialized_bit_for_bit() {
-        let opts = |stream| ExpOptions { threads: Some(2), trace_cache: None, stream, ..Default::default() };
+        let opts = |stream| ExpOptions { threads: Some(2), stream, ..Default::default() };
         let materialized = ExpContext::with_options(Scale::Tiny, opts(false));
         let streamed = ExpContext::with_options(Scale::Tiny, opts(true));
         assert!(streamed.streaming());
@@ -327,7 +283,7 @@ mod tests {
 
     #[test]
     fn stream_mode_stats_and_sources_match() {
-        let opts = |stream| ExpOptions { threads: Some(2), trace_cache: None, stream, ..Default::default() };
+        let opts = |stream| ExpOptions { threads: Some(2), stream, ..Default::default() };
         let materialized = ExpContext::with_options(Scale::Tiny, opts(false));
         let streamed = ExpContext::with_options(Scale::Tiny, opts(true));
         assert_eq!(materialized.trace_stats(), streamed.trace_stats());

@@ -131,13 +131,8 @@ pub fn by_id(id: &str) -> Option<&'static Experiment> {
 
 /// Eagerly enqueues the suites of every listed experiment (deduplicated
 /// by canonical spec label), so independent experiments overlap on the
-/// worker pool instead of running serially. Set `TAGE_NO_PREFETCH=1` to
-/// disable (the serial baseline the EXPERIMENTS.md timing compares
-/// against).
+/// worker pool instead of running serially.
 pub fn prefetch(ctx: &ExpContext, ids: &[&str]) {
-    if std::env::var_os("TAGE_NO_PREFETCH").is_some_and(|v| v == "1") {
-        return;
-    }
     for id in ids {
         if let Some(exp) = by_id(id) {
             exp.prefetch(ctx);

@@ -487,7 +487,7 @@ mod tests {
     use workloads::suite::{generate_parallel, Scale};
 
     fn tiny_traces() -> Arc<Vec<Trace>> {
-        Arc::new(generate_parallel(Scale::Tiny, None, None))
+        Arc::new(generate_parallel(Scale::Tiny, None))
     }
 
     fn tiny_specs() -> SuiteSource {

@@ -637,12 +637,12 @@ mod tests {
     fn packed_stream_is_compact() {
         let t = by_name("MM01", Scale::Tiny).unwrap().generate();
         let packed = encode_vec(&t).len() as f64;
-        // The v1 fixed-width codec spends 21–29 bytes/event.
-        let v1 = {
-            let mut buf = Vec::new();
-            workloads::io::write_trace(&mut buf, &t).unwrap();
-            buf.len() as f64
-        };
+        // A fixed-width record codec: 8-byte magic, two u32-length-prefixed
+        // strings and a u64 event count, then 21 bytes per event (pc,
+        // target, kind, taken, µops, load flag) plus 8 per load address.
+        let loads = t.events.iter().filter(|e| e.load_addr.is_some()).count();
+        let v1 = (8 + 4 + t.name.len() + 4 + t.category.len() + 8 + 21 * t.events.len() + 8 * loads)
+            as f64;
         assert!(
             packed < v1 / 3.0,
             "packed {packed} bytes vs fixed-width {v1} bytes"
