@@ -49,11 +49,7 @@
 //! assert!(p.storage_bits() <= 512 * 1024);
 //! ```
 
-// This crate hosts the workspace's single audited `unsafe` (the prefetch
-// hint in `tagged.rs`), so it denies rather than forbids: the use site
-// carries a scoped `#[allow(unsafe_code)]` with its SAFETY audit, and
-// `tage_lint`'s unsafe-policy pass holds the crate to exactly that shape.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod base;
 pub mod chooser;

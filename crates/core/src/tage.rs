@@ -295,7 +295,6 @@ impl Tage {
         let base = self.provider.base().read_index(flight.base.index);
         let mut ctrs = [0i16; MAX_TAGGED];
         let mut us = [false; MAX_TAGGED];
-        self.provider.bank().prefetch_all(&flight.indices);
         let hits =
             self.provider.bank().read_flight(&flight.indices, &flight.tags, &mut ctrs, &mut us);
         Self::resolve(base, &ctrs, &us, hits, self.cfg.num_tagged)
@@ -363,9 +362,8 @@ impl Predictor for Tage {
             tage_pred: base.pred,
             weak: false,
         };
-        // Compute every component's index and tag (pure hashing) while
-        // prefetching the entries, then read — so the per-component reads
-        // overlap their cache misses instead of serializing.
+        // Compute every component's index and tag (pure hashing), then
+        // read the entries.
         self.provider.bank().compute_keys(
             b.pc,
             &self.path,

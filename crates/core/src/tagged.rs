@@ -132,33 +132,6 @@ impl TaggedTable {
         (ctr, e.tag, e.u)
     }
 
-    /// Hints the cache hierarchy that `index` is about to be read. The
-    /// tagged tables are large and indexed quasi-randomly, so a predict or
-    /// retire re-read issues one likely-missing load per component;
-    /// prefetching all components up front lets those misses overlap
-    /// instead of serializing. Purely a performance hint — never changes
-    /// results.
-    // SAFETY: the one sanctioned unsafe in the workspace — see the audit
-    // on the block below. Scoped allow under the crate-level
-    // `#![deny(unsafe_code)]`; any new unsafe elsewhere fails the build.
-    #[allow(unsafe_code)]
-    #[inline]
-    pub fn prefetch(&self, index: usize) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the pointer is in-bounds (`index` is masked to the table
-        // size by every caller and checked here) and prefetch has no
-        // memory effects.
-        if index < self.entries.len() {
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    self.entries.as_ptr().add(index).cast::<i8>(),
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = index;
-    }
-
     /// Writes an entry, returning whether the stored value changed.
     ///
     /// Counter widths are uniform within a table, so comparing packed
@@ -283,8 +256,7 @@ impl TaggedBank {
     }
 
     /// Fetch-time key computation: per-table index (bank-interleaved when
-    /// `ibank` is set) and tag, prefetching each entry so the reads in
-    /// [`TaggedBank::read_flight`] overlap their cache misses.
+    /// `ibank` is set) and tag.
     #[inline]
     pub fn compute_keys(
         &self,
@@ -301,16 +273,6 @@ impl TaggedBank {
             }
             indices[t] = idx as u32;
             tags[t] = table.tag(pc);
-            table.prefetch(idx);
-        }
-    }
-
-    /// Prefetches every table's entry at the carried indices (the
-    /// retire-time re-read path).
-    #[inline]
-    pub fn prefetch_all(&self, indices: &[u32; MAX_TAGGED]) {
-        for (t, table) in self.tables.iter().enumerate() {
-            table.prefetch(indices[t] as usize);
         }
     }
 

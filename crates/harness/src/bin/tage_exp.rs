@@ -27,7 +27,7 @@
 //! every named preset next to the paper's figures.
 //!
 //! `tage_exp trace` leaves the synthetic suite behind: it runs the full
-//! predictor matrix over external trace files (`.ttr`, CBP, CSV —
+//! predictor matrix over external trace files (`.ttr3`, CBP, CSV —
 //! autodetected), grouped into categories by trace metadata or filename
 //! prefix.
 //!
@@ -296,7 +296,7 @@ fn print_usage() {
     println!("  budgets          per-component storage budgets of the named presets");
     println!("                   (base/tagged/chooser provider sub-stage rows + side stages)");
     println!("  trace <file...>  run the predictor matrix over external trace files");
-    println!("                   (.ttr / .ttr3 / cbp / csv, format autodetected)");
+    println!("                   (.ttr3 / cbp / csv, format autodetected)");
     println!("  --batch N        trace mode: events decoded per engine dispatch");
     println!(
         "                   (auto: {}; 1..={}; never changes a result)",

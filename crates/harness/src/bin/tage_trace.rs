@@ -2,22 +2,21 @@
 //!
 //! ```text
 //! tage_trace record <trace-name...|all> [--scale tiny|small|default|full]
-//!                   [--out DIR] [--format ttr|ttr3|cbp|csv] [--compress] [--scheme raw|lz]
-//! tage_trace convert <input> <output> [--format ttr|ttr3|cbp|csv] [--compress] [--scheme raw|lz]
-//! tage_trace inspect <file...>
+//!                   [--out DIR] [--format ttr3|cbp|csv]
+//! tage_trace convert <input> <output> [--format ttr3|cbp|csv]
+//! tage_trace inspect <file...> [--json]
 //! tage_trace formats
 //! ```
 //!
 //! `record` *streams* synthetic suite traces to files (the bridge from
-//! the generator to the external-trace pipeline) — events flow from the
-//! generator into the codec without ever materializing the trace, so peak
-//! memory is bounded by the codec's working set even at `--scale full`;
-//! `convert` transcodes any recognized format to any other (output format
-//! from the extension unless `--format` overrides); `inspect` streams a
-//! file and prints its vitals, including the v3 container's scheme byte,
-//! block count and compressed/raw ratio. `--compress` selects the block-
-//! compressed `.ttr` v3 container (`--scheme` picks the block scheme;
-//! default `lz`).
+//! the generator to the external-trace pipeline), as `.ttr3` unless
+//! `--format` says otherwise — events flow from the generator into the
+//! codec without ever materializing the trace, so peak memory is bounded
+//! by the container's working set even at `--scale full`; `convert`
+//! transcodes any recognized format to any other (output format from the
+//! extension unless `--format` overrides); `inspect` streams a file and
+//! prints its vitals, including the `.ttr3` scheme, block count,
+//! compressed/raw ratio, index size and a mid-file seek check.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,14 +50,12 @@ fn main() {
 
 fn print_usage() {
     println!("usage: tage_trace record <trace-name...|all> [--scale tiny|small|default|full]");
-    println!("                         [--out DIR] [--format ttr|ttr3|cbp|csv]");
-    println!("                         [--compress] [--scheme raw|lz]");
-    println!("       tage_trace convert <input> <output> [--format ttr|ttr3|cbp|csv]");
-    println!("                          [--compress] [--scheme raw|lz]");
+    println!("                         [--out DIR] [--format ttr3|cbp|csv]");
+    println!("       tage_trace convert <input> <output> [--format ttr3|cbp|csv]");
     println!("       tage_trace inspect <file...> [--json]");
     println!("       tage_trace formats");
-    println!("  --compress    write the block-compressed .ttr v3 container (same as --format ttr3)");
-    println!("  --scheme S    v3 block scheme (default lz; see DESIGN.md section 3b)");
+    println!("  --format F    output codec (record default ttr3; convert default: from the");
+    println!("                output extension)");
     println!("  --json        inspect: emit a JSON array (same fields as the text columns)");
 }
 
@@ -99,41 +96,17 @@ fn switch(pairs: &[(String, String)], name: &str) -> bool {
     pairs.iter().any(|(f, _)| f == name)
 }
 
-/// Resolves the output codec from `--format`/`--compress`/`--scheme`.
-/// `--compress` (or `--scheme`) selects the v3 container; an explicit
-/// conflicting `--format` is a usage error, not a silent override. The
-/// `Ttr3Codec` is returned owned because a non-default scheme byte is not
-/// in the registry.
-fn output_codec<'a>(
-    registry: &'a traces::CodecRegistry,
+/// The codec `--format` names, if it was given.
+fn format_codec<'a>(
+    registry: &'a CodecRegistry,
     pairs: &FlagPairs,
-    default_format: Option<&str>,
-) -> Result<(Option<&'a dyn traces::TraceCodec>, Option<traces::Ttr3Codec>), String> {
-    let compress = switch(pairs, "--compress") || flag(pairs, "--scheme").is_some();
-    let format = flag(pairs, "--format");
-    if compress {
-        if let Some(f) = format {
-            if f != "ttr3" {
-                return Err(format!("--compress writes ttr3, which conflicts with --format {f}"));
-            }
-        }
-        let scheme = flag(pairs, "--scheme").unwrap_or("lz");
-        let Some((_, scheme_id, _)) = traces::SCHEMES.iter().find(|(n, _, _)| *n == scheme)
-        else {
-            let known: Vec<&str> = traces::SCHEMES.iter().map(|(n, _, _)| *n).collect();
-            return Err(format!("unknown scheme '{scheme}' (known: {})", known.join(", ")));
-        };
-        // Recorded v3 files always carry the seekable block index — the
-        // 16-bytes-per-block footer is what makes `tage_exp sample` skip
-        // in O(1) instead of decompressing every leading block.
-        return Ok((None, Some(traces::Ttr3Codec { scheme_id: *scheme_id | traces::TTR3_INDEX_FLAG })));
-    }
-    match format.or(default_format) {
-        Some(name) => match registry.by_name(name) {
-            Some(c) => Ok((Some(c), None)),
-            None => Err(format!("unknown format '{name}' (see `tage_trace formats`)")),
-        },
-        None => Ok((None, None)),
+) -> Result<Option<&'a dyn traces::TraceCodec>, String> {
+    match flag(pairs, "--format") {
+        None => Ok(None),
+        Some(name) => registry
+            .by_name(name)
+            .map(Some)
+            .ok_or_else(|| format!("unknown format '{name}' (see `tage_trace formats`)")),
     }
 }
 
@@ -149,11 +122,10 @@ fn io_fail(what: &str, e: &io::Error) -> i32 {
 }
 
 fn cmd_record(args: &[String]) -> i32 {
-    let (names, pairs) =
-        match parse_flags(args, &["--scale", "--out", "--format", "--scheme"], &["--compress"]) {
-            Ok(v) => v,
-            Err(e) => return usage_error(&e),
-        };
+    let (names, pairs) = match parse_flags(args, &["--scale", "--out", "--format"], &[]) {
+        Ok(v) => v,
+        Err(e) => return usage_error(&e),
+    };
     if names.is_empty() {
         return usage_error("record: no trace names given");
     }
@@ -166,15 +138,10 @@ fn cmd_record(args: &[String]) -> i32 {
     };
     let out = PathBuf::from(flag(&pairs, "--out").unwrap_or("."));
     let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &pairs, Some("ttr")) {
-        Ok(v) => v,
+    let default_codec = traces::Ttr3Codec::default();
+    let codec = match format_codec(&registry, &pairs) {
+        Ok(c) => c.unwrap_or(&default_codec),
         Err(e) => return usage_error(&e),
-    };
-    let codec: &dyn traces::TraceCodec = match (&owned, reg_codec) {
-        (Some(c), _) => c,
-        // INVARIANT: record passes a default format, so output_codec
-        // always resolves one of the two.
-        (None, c) => c.expect("record always has a format"),
     };
     let specs = if names.iter().any(|n| n == "all") {
         suite(scale)
@@ -189,9 +156,9 @@ fn cmd_record(args: &[String]) -> i32 {
         specs
     };
     for spec in &specs {
-        // Streamed end to end: the generator feeds the codec directly
-        // (re-invoked for two-pass layouts), so recording `--scale full`
-        // never materializes the event vector.
+        // Streamed end to end: the generator feeds the codec directly, so
+        // recording `--scale full` as `.ttr3` never materializes the event
+        // vector.
         let mut make = || Ok(Box::new(spec.stream()) as Box<dyn EventSource + Send>);
         match harness::trace_mode::record_stream(&spec.name, codec, &out, &mut make) {
             Ok(path) => {
@@ -205,7 +172,7 @@ fn cmd_record(args: &[String]) -> i32 {
 }
 
 fn cmd_convert(args: &[String]) -> i32 {
-    let (files, pairs) = match parse_flags(args, &["--format", "--scheme"], &["--compress"]) {
+    let (files, pairs) = match parse_flags(args, &["--format"], &[]) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
@@ -214,14 +181,10 @@ fn cmd_convert(args: &[String]) -> i32 {
     };
     let (input, output) = (Path::new(input), Path::new(output));
     let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &pairs, None) {
-        Ok(v) => v,
+    let to = match format_codec(&registry, &pairs) {
+        Ok(Some(c)) => c,
         Err(e) => return usage_error(&e),
-    };
-    let to: &dyn traces::TraceCodec = match (&owned, reg_codec) {
-        (Some(c), _) => c,
-        (None, Some(c)) => c,
-        (None, None) => match registry.by_extension(output) {
+        Ok(None) => match registry.by_extension(output) {
             Some(c) => c,
             None => {
                 return usage_error(&format!(
@@ -252,20 +215,7 @@ fn cmd_convert(args: &[String]) -> i32 {
     // Atomic like record: a mid-encode failure (e.g. a CBP-unrepresentable
     // trace, a full disk) must not leave a partial file or destroy a
     // pre-existing one at the destination.
-    let tmp = output.with_file_name(format!(
-        "{}.tmp.{}",
-        output.file_name().and_then(|s| s.to_str()).unwrap_or("out"),
-        std::process::id()
-    ));
-    let write = || -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        to.encode(&mut w, &trace)?;
-        use io::Write;
-        w.flush()?;
-        std::fs::rename(&tmp, output)
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
+    if let Err(e) = harness::trace_mode::write_atomic(output, |w| to.encode(w, &trace)) {
         return io_fail(&output.display().to_string(), &e);
     }
     println!(
@@ -342,9 +292,9 @@ fn cmd_inspect(args: &[String]) -> i32 {
         if let Err(e) = traces::finish(src.as_ref()) {
             return io_fail(f, &e);
         }
-        // Seek check (index-carrying containers only): skip(total/2) must
-        // land on exactly the event the linear decode saw there.
-        let seek_ok = match (src.container_info().and_then(|i| i.index_bytes), mid, &mid_event) {
+        // Seek check (indexed containers only): skip(total/2) must land on
+        // exactly the event the linear decode saw there.
+        let seek_ok = match (src.container_info(), mid, &mid_event) {
             (Some(_), Some(mid), Some(expect)) => {
                 let check = registry.open(path).and_then(|mut probe| {
                     let skipped = probe.skip(mid);
@@ -372,8 +322,8 @@ fn cmd_inspect(args: &[String]) -> i32 {
         };
         let file_name = path.file_name().and_then(|s| s.to_str()).unwrap_or(f).to_string();
         let taken_pct = taken as f64 * 100.0 / conditionals.max(1) as f64;
-        // Container vitals (the v3 scheme byte, block count and
-        // compression ratio); "-" / null for flat formats without one.
+        // Container vitals (the `.ttr3` scheme byte, block count,
+        // compression ratio and index size); "-" / null for flat formats.
         let info = src.container_info();
         if json {
             let container = match &info {
@@ -384,7 +334,7 @@ fn cmd_inspect(args: &[String]) -> i32 {
                     i.scheme_id,
                     i.blocks,
                     i.ratio(),
-                    i.index_bytes.map_or("null".to_string(), |b| b.to_string()),
+                    i.index_bytes,
                     match seek_ok {
                         Some(true) => "\"ok\"",
                         _ => "null",
@@ -411,7 +361,7 @@ fn cmd_inspect(args: &[String]) -> i32 {
                 format!("{} ({})", info.scheme, info.scheme_id),
                 info.blocks.to_string(),
                 format!("{:.2}", info.ratio()),
-                info.index_bytes.map_or("-".into(), |b| format!("{b}B")),
+                format!("{}B", info.index_bytes),
             ),
             None => ("-".into(), "-".into(), "-".into(), "-".into()),
         };

@@ -7,8 +7,8 @@
 //! [`pipeline::sampling`]: it picks phases with
 //! [`pipeline::fixed_interval`], fans **one pool job per (spec × slice)**
 //! through the shared [`WorkerPool`], positions each job's decoder with
-//! `EventSource::skip` (O(1) on block-indexed `.ttr` v3 files, decode-
-//! discard otherwise), and combines the per-slice reports with the exact
+//! `EventSource::skip` (a seek on `.ttr3` files, decode-discard
+//! otherwise), and combines the per-slice reports with the exact
 //! integer arithmetic of [`SampledResult`].
 //!
 //! `--full-check PCT` additionally runs every (spec × file) pair in full

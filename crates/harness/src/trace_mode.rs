@@ -4,7 +4,7 @@
 //! ingests recorded trace files through `tage-traces`' codec registry and
 //! runs the full predictor matrix over them, streaming. Results are
 //! grouped into categories exactly like the synthetic suite (the codec
-//! supplies the category — `.ttr` from its header, CBP/CSV from the
+//! supplies the category — `.ttr3` from its header, CBP/CSV from the
 //! filename prefix), so the report tables render unchanged.
 //!
 //! The same matrix can run over synthetic [`TraceSpec`]s directly; the
@@ -301,42 +301,56 @@ pub fn render(results: &[(&'static str, SuiteReport)]) -> String {
     out
 }
 
+/// Writes `path` atomically: `write` fills a sibling temp file
+/// (`<file name>.tmp.<pid>`, so two codecs recording one trace never share
+/// it), which is renamed over `path` only after a clean flush. On any
+/// error the temp file is removed and `path` is left as it was.
+///
+/// # Errors
+///
+/// Propagates the error from `write`, the flush, or the rename.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let file_name = path.file_name().and_then(|s| s.to_str()).unwrap_or("out");
+    let tmp = path.with_file_name(format!("{file_name}.tmp.{}", std::process::id()));
+    let result = std::fs::File::create(&tmp).and_then(|f| {
+        let mut w = io::BufWriter::new(f);
+        write(&mut w)?;
+        io::Write::flush(&mut w)?;
+        drop(w);
+        std::fs::rename(&tmp, path)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Records a materialized trace into `dir` as `<name>.<ext>` using
-/// `codec`, atomically (temp file + rename).
+/// `codec`, atomically (see [`write_atomic`]).
 ///
 /// # Errors
 ///
 /// Propagates encode and file I/O errors.
 pub fn record_trace(trace: &Trace, codec: &dyn TraceCodec, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let ext = codec.extensions()[0];
-    let path = dir.join(format!("{}.{ext}", trace.name));
-    // The temp name keeps the codec extension: recording the same trace
-    // through two codecs concurrently must not collide on one temp file.
-    let tmp = dir.join(format!("{}.{ext}.tmp.{}", trace.name, std::process::id()));
-    {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        codec.encode(&mut w, trace)?;
-        use io::Write;
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, &path)?;
+    let path = dir.join(format!("{}.{}", trace.name, codec.extensions()[0]));
+    write_atomic(&path, |w| codec.encode(w, trace))?;
     Ok(path)
 }
 
 /// Records a *streamed* trace into `dir` as `<name>.<ext>` using
-/// `codec`, atomically. Unlike [`record_trace`] the events are never
-/// materialized here: the codec pulls them through
-/// [`TraceCodec::encode_stream`], re-invoking `make_source` when its
-/// layout needs a second pass, so peak memory is bounded by the codec's
-/// working set (the static-branch table plus, for block formats, one
-/// block buffer) regardless of trace length. Byte-identical to the
-/// materialized path for every registered codec (the trait contract,
-/// pinned per codec in `tage-traces`).
+/// `codec`, atomically. `make_source` is called once; the codec pulls the
+/// events through [`TraceCodec::encode_stream`], so with `.ttr3` peak
+/// memory is the static-branch table plus one block buffer regardless of
+/// trace length. Byte-identical to [`record_trace`] of the materialized
+/// trace for every registered codec.
 ///
 /// # Errors
 ///
-/// Propagates encode and file I/O errors.
+/// Propagates source, encode and file I/O errors.
 pub fn record_stream(
     name: &str,
     codec: &dyn TraceCodec,
@@ -344,20 +358,9 @@ pub fn record_stream(
     make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
 ) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let ext = codec.extensions()[0];
-    let path = dir.join(format!("{name}.{ext}"));
-    let tmp = dir.join(format!("{name}.{ext}.tmp.{}", std::process::id()));
-    let mut write = || -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        codec.encode_stream(&mut w, make_source)?;
-        use io::Write;
-        w.flush()
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, &path)?;
+    let path = dir.join(format!("{name}.{}", codec.extensions()[0]));
+    let mut source = make_source()?;
+    write_atomic(&path, |w| codec.encode_stream(w, &mut *source))?;
     Ok(path)
 }
 
@@ -380,7 +383,7 @@ mod tests {
             .map(|n| by_name(n, Scale::Tiny).unwrap())
             .collect();
         let dir = temp_dir("matrix");
-        let codec = traces::TtrCodec;
+        let codec = traces::Ttr3Codec::default();
         let files: Vec<PathBuf> = specs
             .iter()
             .map(|s| record_trace(&s.generate(), &codec, &dir).unwrap())
@@ -420,7 +423,7 @@ mod tests {
         let spec = by_name("CLIENT03", Scale::Tiny).unwrap();
         let trace = spec.generate();
         let dir = temp_dir("stream-rec");
-        for codec_name in ["ttr", "ttr3"] {
+        for codec_name in ["ttr3", "cbp", "csv"] {
             let registry = traces::CodecRegistry::standard();
             let codec = registry.by_name(codec_name).unwrap();
             let materialized = record_trace(&trace, codec, &dir.join("mat")).unwrap();
@@ -472,12 +475,36 @@ mod tests {
     fn corrupt_recorded_file_is_an_error_not_a_truncated_run() {
         let spec = by_name("INT04", Scale::Tiny).unwrap();
         let dir = temp_dir("corrupt");
-        let path = record_trace(&spec.generate(), &traces::TtrCodec, &dir).unwrap();
+        let path = record_trace(&spec.generate(), &traces::Ttr3Codec::default(), &dir).unwrap();
         // Truncate the recorded file mid-event-stream.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
         let err = run_files(&[path], &PipelineConfig::default(), None);
         assert!(err.is_err(), "truncated input must fail loudly");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_record_leaves_no_temp_file() {
+        // More static branches than CBP's 15-bit entry index can address:
+        // the encoder refuses, and neither the output nor its temp file
+        // may remain.
+        let events = (0..=traces::cbp::MAX_BRANCHES as u64)
+            .map(|i| TraceEvent {
+                pc: 0x1000 + 4 * i,
+                kind: simkit::predictor::BranchKind::Conditional,
+                taken: true,
+                target: 0x10,
+                uops_before: 0,
+                load_addr: None,
+            })
+            .collect();
+        let trace = Trace { name: "WIDE01".into(), category: "WIDE".into(), events };
+        let dir = temp_dir("failed-record");
+        let err = record_trace(&trace, &traces::CbpCodec, &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,7 +25,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn record_ttr(dir: &Path) -> Vec<PathBuf> {
-    specs().iter().map(|s| record_trace(&s.generate(), &traces::TtrCodec, dir).unwrap()).collect()
+    let codec = traces::Ttr3Codec::default();
+    specs().iter().map(|s| record_trace(&s.generate(), &codec, dir).unwrap()).collect()
 }
 
 fn golden_table_path() -> PathBuf {
@@ -77,13 +78,14 @@ fn trace_mode_table_matches_the_checked_in_golden() {
 
 #[test]
 fn cross_codec_conversion_chain_preserves_ttr_bytes() {
-    // ttr -> csv -> ttr must be byte-identical (both codecs are lossless
-    // and the encoders are deterministic); ttr -> cbp must stay runnable.
+    // ttr3 -> csv -> ttr3 must be byte-identical (both codecs are
+    // lossless and the encoders are deterministic); ttr3 -> cbp must stay
+    // runnable.
     let dir = temp_dir("chain");
     std::fs::create_dir_all(&dir).unwrap();
     let registry = CodecRegistry::standard();
     let spec = by_name("WS01", Scale::Tiny).unwrap();
-    let original = record_trace(&spec.generate(), &traces::TtrCodec, &dir).unwrap();
+    let original = record_trace(&spec.generate(), &traces::Ttr3Codec::default(), &dir).unwrap();
 
     let reconvert = |from: &Path, codec_name: &str| -> PathBuf {
         let mut src = registry.open(from).unwrap();
@@ -115,11 +117,11 @@ fn cross_codec_conversion_chain_preserves_ttr_bytes() {
         category: src.category().to_string(),
         events,
     };
-    let back = record_trace(&trace, &traces::TtrCodec, &round_dir).unwrap();
+    let back = record_trace(&trace, &traces::Ttr3Codec::default(), &round_dir).unwrap();
     assert_eq!(
         std::fs::read(&original).unwrap(),
         std::fs::read(&back).unwrap(),
-        "ttr -> csv -> ttr must be byte-identical"
+        "ttr3 -> csv -> ttr3 must be byte-identical"
     );
 
     let as_cbp = reconvert(&original, "cbp");

@@ -48,9 +48,8 @@ impl LintConfig {
     pub fn for_workspace(root: PathBuf) -> Self {
         Self {
             root,
-            // The audited unsafe prefetch hint: tage-core's tagged-table
-            // prefetch.
-            unsafe_allowed_crates: vec!["core".to_string()],
+            // No crate needs `unsafe`: every one forbids it.
+            unsafe_allowed_crates: Vec::new(),
             wildcard_guarded_files: [
                 // The trace generator: a new Behavior variant must be
                 // handled by name, not absorbed into another's outcomes.
@@ -58,7 +57,6 @@ impl LintConfig {
                 // Codec kind/type mappings: a new BranchKind must map, not fall through.
                 "crates/traces/src/codec.rs",
                 "crates/traces/src/decoder.rs",
-                "crates/traces/src/ttr.rs",
                 "crates/traces/src/ttr3.rs",
                 "crates/traces/src/cbp.rs",
                 "crates/traces/src/csv.rs",

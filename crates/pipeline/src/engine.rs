@@ -41,7 +41,7 @@ pub fn parse_batch(v: &str) -> Result<usize, String> {
 
 /// Skip/warmup/measure windows over the event stream (sampled
 /// simulation). Positions count *trace events* — conditional or not —
-/// matching [`EventSource::skip`] units and the `.ttr` per-block event
+/// matching [`EventSource::skip`] units and the `.ttr3` per-block event
 /// counts, so a data-path seek and a window skip agree on where event N
 /// is.
 ///

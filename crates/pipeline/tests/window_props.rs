@@ -8,7 +8,7 @@
 //! * the default window (and an explicit `{0, 0, len}` one) is
 //!   bit-identical to the unwindowed engine under *every* scenario;
 //! * skipping via the window and skipping via [`EventSource::skip`] land
-//!   on the same stream position, so a data-path seek (`.ttr` v3 index)
+//!   on the same stream position, so a data-path seek (the `.ttr3` index)
 //!   and a window skip are interchangeable.
 //!
 //! Each windowed run goes through [`ChunkDriver`] at a drawn block size
@@ -191,7 +191,7 @@ proptest! {
     ) {
         // Fast-forwarding `s` events inside the window must equal
         // positioning the source itself `s` events in (the sampled
-        // slice driver does the latter via the `.ttr` v3 index).
+        // slice driver does the latter via the `.ttr3` index).
         let t = trace_of(raw);
         for sc in [UpdateScenario::Immediate, UpdateScenario::RereadAtRetire] {
             let window_cfg = windowed(SimWindow { skip: s, warmup: w, measure: m });

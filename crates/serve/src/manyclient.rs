@@ -19,7 +19,7 @@ use crate::wire::Handshake;
 
 /// Extensions the trace-directory scan accepts — one per registered codec
 /// in `traces::CodecRegistry::standard()`.
-const TRACE_EXTENSIONS: &[&str] = &["ttr", "ttr3", "cbp", "csv"];
+const TRACE_EXTENSIONS: &[&str] = &["ttr3", "cbp", "csv"];
 
 /// Load-bench options, straight from the CLI.
 #[derive(Clone, Debug)]

@@ -4,7 +4,7 @@
 //! 4-byte little-endian payload length, then the payload. The layout is
 //! deliberately boring — no varints, no compression at the frame layer —
 //! because the payloads themselves are either opaque trace bytes (already
-//! compressed by the `.ttr`/`.ttr3` codecs) or small `key=value` text
+//! compressed by the `.ttr3` codec) or small `key=value` text
 //! blocks that must stay greppable in packet dumps.
 //!
 //! The frame-type table, the handshake fields, and the schema string below
@@ -414,7 +414,7 @@ mod tests {
             measure: 1000,
             branch_stats: true,
             top: 7,
-            name_hint: "INT01.ttr".to_string(),
+            name_hint: "INT01.ttr3".to_string(),
             stats_every: 4096,
             fault: String::new(),
             ..Handshake::default()

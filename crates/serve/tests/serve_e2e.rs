@@ -14,7 +14,7 @@ use harness::PredictorSpec;
 use pipeline::PipelineConfig;
 use serve::wire::{self, FrameType, Handshake, WireError};
 use serve::{run_one, BoundServer, ClientOptions, ServeOptions};
-use traces::{Ttr3Codec, TtrCodec};
+use traces::{CsvCodec, Ttr3Codec};
 use workloads::suite::{by_name, Scale};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -76,14 +76,13 @@ fn port_zero_binds_an_ephemeral_port() {
 fn served_results_are_bit_identical_to_offline_runs_across_codecs() {
     let dir = test_dir("bitident");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    // One subdir per container variant — both v3 flavors share the .ttr3
-    // extension, so they cannot live in one directory.
-    let v2 = record_trace(&trace, &TtrCodec, &dir.join("v2")).unwrap();
-    let v3_raw = record_trace(&trace, &Ttr3Codec { scheme_id: 0 }, &dir.join("v3")).unwrap();
-    let v3_lz = record_trace(&trace, &Ttr3Codec::default(), &dir.join("v3lz")).unwrap();
+    // The two ingestion routes: `.ttr3` is spooled to disk before it
+    // decodes, CSV decodes straight off the socket.
+    let ttr3 = record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
+    let csv = record_trace(&trace, &CsvCodec, &dir).unwrap();
 
     let (addr, handle) = start_server(8, false);
-    for (label, file) in [("ttr v2", &v2), ("ttr3 raw", &v3_raw), ("ttr3 lz", &v3_lz)] {
+    for (label, file) in [("ttr3 (spooled)", &ttr3), ("csv (streamed)", &csv)] {
         let res = run_one(file, &client_opts(addr)).unwrap();
         assert!(res.error.is_none(), "{label}: server error {:?}", res.error);
         let served = res.artifact_json.expect("result artifact");
@@ -99,7 +98,7 @@ fn served_results_are_bit_identical_to_offline_runs_across_codecs() {
 fn periodic_stats_frames_do_not_change_the_result() {
     let dir = test_dir("stats");
     let trace = by_name("MM05", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
 
     let (addr, handle) = start_server(8, false);
     let mut opts = client_opts(addr);
@@ -159,7 +158,7 @@ fn healthy_session(addr: SocketAddr, file: &Path, context: &str) {
 fn every_fault_kills_only_its_own_session() {
     let dir = test_dir("faults");
     let trace = by_name("INT02", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
     let trace_bytes = std::fs::read(&file).unwrap();
 
     let (addr, handle) = start_server(8, true);
@@ -198,7 +197,7 @@ fn every_fault_kills_only_its_own_session() {
     //    middle of the data phase.
     {
         let (mut rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         expect_ready(&mut rd, "garbage mid-stream");
         wire::write_frame(&mut wr, FrameType::Data, &trace_bytes[..64]).unwrap();
@@ -210,7 +209,7 @@ fn every_fault_kills_only_its_own_session() {
     // 4. Oversized frame length: refused before allocation.
     {
         let (mut rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         expect_ready(&mut rd, "oversized frame");
         let mut raw = vec![FrameType::Data as u8];
@@ -225,7 +224,7 @@ fn every_fault_kills_only_its_own_session() {
     //    the proof is that the server keeps serving afterwards.
     {
         let (_rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         wire::write_frame(&mut wr, FrameType::Data, &trace_bytes[..128]).unwrap();
         // Drop both halves: the peer vanishes mid-stream.
@@ -273,7 +272,7 @@ fn every_fault_kills_only_its_own_session() {
 fn fault_injection_is_refused_unless_enabled() {
     let dir = test_dir("noinject");
     let trace = by_name("WS01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
 
     let (addr, handle) = start_server(8, false);
     let mut opts = client_opts(addr);
@@ -290,13 +289,13 @@ fn fault_injection_is_refused_unless_enabled() {
 fn admission_limit_sends_a_typed_refusal() {
     let dir = test_dir("admission");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
 
     let (addr, handle) = start_server(1, false);
 
     // Occupy the single slot: handshake through `ready`, then stall.
     let (mut rd, mut wr) = raw_connect(addr);
-    let hs = Handshake { spec: "tage".to_string(), name_hint: "INT01.ttr".to_string(), ..Handshake::default() };
+    let hs = Handshake { spec: "tage".to_string(), name_hint: "INT01.ttr3".to_string(), ..Handshake::default() };
     wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
     expect_ready(&mut rd, "slot holder");
 
@@ -329,7 +328,7 @@ fn manyclient_bench_aggregates_and_isolates_injected_panics() {
     let dir = test_dir("manyclient");
     for name in ["INT01", "MM01", "WS01"] {
         let trace = by_name(name, Scale::Tiny).unwrap().generate();
-        record_trace(&trace, &TtrCodec, &dir).unwrap();
+        record_trace(&trace, &Ttr3Codec::default(), &dir).unwrap();
     }
 
     let (addr, handle) = start_server(16, true);

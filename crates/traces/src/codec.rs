@@ -16,7 +16,7 @@ pub const SNIFF_LEN: usize = 16;
 /// returned [`EventSource`] may hold the static-branch table in memory but
 /// never the event stream.
 pub trait TraceCodec: Send + Sync {
-    /// Short format name, e.g. `"ttr"` (also the `--format` CLI token).
+    /// Short format name, e.g. `"ttr3"` (also the `--format` CLI token).
     fn name(&self) -> &'static str;
 
     /// One-line human description for CLI listings.
@@ -45,30 +45,22 @@ pub trait TraceCodec: Send + Sync {
     /// error from the writer.
     fn encode(&self, w: &mut dyn Write, trace: &Trace) -> io::Result<()>;
 
-    /// Streams a source into the encoded output without materializing the
-    /// event stream, where the format allows it. `make_source` must
-    /// produce a fresh source replaying the identical stream on every
-    /// call: single-pass formats (`.ttr` v3) call it once, table-first
-    /// formats (`.ttr` v2) twice. The default materializes one pass and
-    /// delegates to [`TraceCodec::encode`] — correct for any codec, with
-    /// memory proportional to the trace.
+    /// Encodes `source` in one pass. The default materializes the events
+    /// and delegates to [`TraceCodec::encode`] — correct for any codec,
+    /// with memory proportional to the trace; `.ttr3` overrides it to
+    /// stream in bounded memory.
     ///
     /// Overrides must produce output byte-identical to encoding the
     /// materialized trace.
     ///
     /// # Errors
     ///
-    /// As [`TraceCodec::encode`], plus any error from `make_source`.
-    fn encode_stream(
-        &self,
-        w: &mut dyn Write,
-        make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-    ) -> io::Result<()> {
-        let mut src = make_source()?;
-        let name = src.name().to_string();
-        let category = src.category().to_string();
+    /// As [`TraceCodec::encode`].
+    fn encode_stream(&self, w: &mut dyn Write, source: &mut dyn EventSource) -> io::Result<()> {
+        let name = source.name().to_string();
+        let category = source.category().to_string();
         let mut events = Vec::new();
-        while let Some(e) = src.next_event() {
+        while let Some(e) = source.next_event() {
             events.push(e);
         }
         self.encode(w, &Trace { name, category, events })
@@ -86,9 +78,9 @@ pub trait TraceCodec: Send + Sync {
 
     /// Opens a decoder over a *non-seekable* byte stream — the network
     /// ingestion entry point (see [`crate::feed`]). Codecs whose layout
-    /// decodes front-to-back (`.ttr` v2, CSV) override this and return
-    /// [`FeedOpen::Streaming`]; formats that need random access (`.ttr`
-    /// v3's table-at-end trailer, CBP's trailing footer) keep the default,
+    /// decodes front-to-back (CSV) override this and return
+    /// [`FeedOpen::Streaming`]; formats that need random access (`.ttr3`'s
+    /// table-at-end trailer, CBP's trailing footer) keep the default,
     /// which hands the reader back as [`FeedOpen::NeedsSpool`] so
     /// [`CodecRegistry::open_feed`] can spool it to disk first. The
     /// fallback name/category play the role [`file_meta`] plays in
@@ -111,7 +103,7 @@ pub trait TraceCodec: Send + Sync {
 
 /// Derives `(name, category)` from a trace file name: the name is the file
 /// stem, the category its leading alphabetic prefix upper-cased (so
-/// `client02.ttr` groups under `CLIENT` exactly like the synthetic suite).
+/// `client02.ttr3` groups under `CLIENT` exactly like the synthetic suite).
 /// Falls back to `("trace", "TRACE")` for unusable stems.
 pub fn file_meta(path: &Path) -> (String, String) {
     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
@@ -136,11 +128,10 @@ impl CodecRegistry {
         Self { codecs: Vec::new() }
     }
 
-    /// The built-in formats: `.ttr` v2, `.ttr3` block-compressed,
-    /// CBP-style, CSV.
+    /// The built-in formats: the native `.ttr3` container, CBP-style and
+    /// CSV.
     pub fn standard() -> Self {
         let mut r = Self::new();
-        r.register(Box::new(crate::ttr::TtrCodec));
         r.register(Box::new(crate::ttr3::Ttr3Codec::default()));
         r.register(Box::new(crate::cbp::CbpCodec));
         r.register(Box::new(crate::csv::CsvCodec));
@@ -224,7 +215,7 @@ mod tests {
     #[test]
     fn file_meta_splits_prefix() {
         assert_eq!(
-            file_meta(Path::new("/tmp/CLIENT02.ttr")),
+            file_meta(Path::new("/tmp/CLIENT02.ttr3")),
             ("CLIENT02".to_string(), "CLIENT".to_string())
         );
         assert_eq!(
@@ -236,19 +227,20 @@ mod tests {
     }
 
     #[test]
-    fn standard_registry_has_four_codecs() {
+    fn standard_registry_has_three_codecs() {
         let r = CodecRegistry::standard();
         let names: Vec<&str> = r.codecs().map(|c| c.name()).collect();
-        assert_eq!(names, ["ttr", "ttr3", "cbp", "csv"]);
-        assert!(r.by_name("ttr").is_some());
+        assert_eq!(names, ["ttr3", "cbp", "csv"]);
         assert!(r.by_name("ttr3").is_some());
+        assert!(r.by_name("ttr").is_none());
         assert!(r.by_name("nope").is_none());
     }
 
     #[test]
     fn extension_lookup_is_case_insensitive() {
         let r = CodecRegistry::standard();
-        assert_eq!(r.by_extension(&PathBuf::from("x.TTR")).unwrap().name(), "ttr");
+        assert_eq!(r.by_extension(&PathBuf::from("x.TTR3")).unwrap().name(), "ttr3");
+        assert!(r.by_extension(&PathBuf::from("x.ttr")).is_none());
         assert_eq!(r.by_extension(&PathBuf::from("x.csv")).unwrap().name(), "csv");
         assert!(r.by_extension(&PathBuf::from("x.bin")).is_none());
         assert!(r.by_extension(&PathBuf::from("noext")).is_none());

@@ -14,7 +14,8 @@
 //! no load dependence. `#` lines are comments; the `name=`/`category=`
 //! comments are optional (the file name supplies them otherwise), so a
 //! trace can be authored in any editor with nothing but the column header.
-//! Lossless, streaming, line-at-a-time.
+//! Lossless, streaming, line-at-a-time; a line longer than
+//! [`MAX_CSV_LINE`] bytes is rejected before it is buffered whole.
 
 use crate::decoder::TraceDecoder;
 use crate::file_meta;
@@ -28,6 +29,52 @@ pub const CSV_MAGIC_LINE: &str = "# tage-traces csv v1";
 
 /// The required column header.
 pub const CSV_HEADER: &str = "pc,kind,taken,target,uops_before,load_addr";
+
+/// Cap on the bytes of a trace name or category [`encode`] writes (the
+/// `.ttr3` header's string limit, so a CSV file always converts back).
+pub const MAX_CSV_META: usize = u16::MAX as usize;
+
+/// Cap on one line's bytes, newline excluded. The longest line [`encode`]
+/// writes is a metadata comment of at most [`MAX_CSV_META`] bytes plus
+/// its key, and event rows stay under 100 bytes. A longer line fails with
+/// `InvalidData` after at most this many bytes plus one read buffer, so
+/// input with no newline cannot grow a reader's memory without bound.
+pub const MAX_CSV_LINE: usize = 1 << 20;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Reads the next line into `buf` with its `\n` stripped; `Ok(false)`
+/// at end of input. Never buffers more than [`MAX_CSV_LINE`] bytes of one
+/// line.
+fn read_line_capped<B: BufRead>(r: &mut B, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(c) => c,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(!buf.is_empty());
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if buf.len() + take > MAX_CSV_LINE {
+            return Err(invalid(format!("csv line exceeds {MAX_CSV_LINE} bytes")));
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        r.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(true);
+        }
+    }
+}
+
+fn line_str(buf: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(buf).map_err(|e| invalid(format!("csv line is not UTF-8: {e}")))
+}
 
 fn kind_token(k: BranchKind) -> &'static str {
     match k {
@@ -81,6 +128,12 @@ pub fn encode(w: &mut dyn Write, trace: &Trace) -> io::Result<()> {
                 format!("trace {field} {value:?} has control characters or edge whitespace"),
             ));
         }
+        if value.len() > MAX_CSV_META {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("trace {field} of {} bytes exceeds {MAX_CSV_META}", value.len()),
+            ));
+        }
     }
     writeln!(w, "{CSV_MAGIC_LINE}")?;
     writeln!(w, "# name={}", trace.name)?;
@@ -107,7 +160,8 @@ pub fn encode(w: &mut dyn Write, trace: &Trace) -> io::Result<()> {
 pub struct CsvReader<R> {
     name: String,
     category: String,
-    lines: io::Lines<io::BufReader<R>>,
+    reader: io::BufReader<R>,
+    line: Vec<u8>,
     line_no: usize,
     /// From the writer's `# events=` comment; hand-authored files without
     /// it get no truncation check (nothing to check against).
@@ -123,20 +177,21 @@ impl<R: Read> CsvReader<R> {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` when the column header is missing or wrong,
-    /// and any I/O error.
+    /// Returns `InvalidData` when the column header is missing or wrong or
+    /// a line exceeds [`MAX_CSV_LINE`], and any I/O error.
     pub fn new(reader: R, fallback_name: String, fallback_category: String) -> io::Result<Self> {
-        let mut lines = io::BufReader::new(reader).lines();
+        let mut reader = io::BufReader::new(reader);
+        let mut buf = Vec::new();
         let mut name = fallback_name;
         let mut category = fallback_category;
         let mut expected = None;
         let mut line_no = 0;
         loop {
-            let line = lines.next().transpose()?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "missing csv column header")
-            })?;
+            if !read_line_capped(&mut reader, &mut buf)? {
+                return Err(invalid("missing csv column header".to_string()));
+            }
             line_no += 1;
-            let line = line.trim();
+            let line = line_str(&buf)?.trim();
             if line.is_empty() {
                 continue;
             }
@@ -157,7 +212,16 @@ impl<R: Read> CsvReader<R> {
                     format!("expected column header {CSV_HEADER:?}, found {line:?}"),
                 ));
             }
-            return Ok(Self { name, category, lines, line_no, expected, decoded: 0, error: None });
+            return Ok(Self {
+                name,
+                category,
+                reader,
+                line: buf,
+                line_no,
+                expected,
+                decoded: 0,
+                error: None,
+            });
         }
     }
 
@@ -207,28 +271,28 @@ impl<R: Read> EventSource for CsvReader<R> {
             return None;
         }
         loop {
-            let line = match self.lines.next()? {
-                Ok(l) => l,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            };
             self.line_no += 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match Self::parse_line(line) {
-                Ok(e) => {
+            let parsed = match read_line_capped(&mut self.reader, &mut self.line) {
+                Ok(false) => return None,
+                Ok(true) => line_str(&self.line).and_then(|line| {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        Ok(None)
+                    } else {
+                        Self::parse_line(line).map(Some)
+                    }
+                }),
+                Err(e) => Err(e),
+            };
+            match parsed {
+                Ok(None) => continue,
+                Ok(Some(e)) => {
                     self.decoded += 1;
                     return Some(e);
                 }
                 Err(e) => {
-                    self.error = Some(io::Error::new(
-                        e.kind(),
-                        format!("line {}: {e}", self.line_no),
-                    ));
+                    self.error =
+                        Some(io::Error::new(e.kind(), format!("line {}: {e}", self.line_no)));
                     return None;
                 }
             }
@@ -384,6 +448,64 @@ mod tests {
             let err = encode(&mut buf, &t).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "name {name:?}");
         }
+    }
+
+    #[test]
+    fn longest_metadata_round_trips_and_longer_is_rejected() {
+        let longest = "N".repeat(MAX_CSV_META);
+        let t = Trace { name: longest.clone(), category: longest, events: vec![] };
+        let mut buf = Vec::new();
+        encode(&mut buf, &t).unwrap();
+        assert_eq!(decode_str(std::str::from_utf8(&buf).unwrap()).unwrap(), t);
+        let t = Trace { name: "N".repeat(MAX_CSV_META + 1), category: "X".into(), events: vec![] };
+        let err = encode(&mut Vec::new(), &t).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// 64 MiB of digits with no newline, counting the bytes pulled.
+    struct NoNewline {
+        left: u64,
+        pulled: u64,
+    }
+
+    impl Read for NoNewline {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (buf.len() as u64).min(self.left) as usize;
+            buf[..n].fill(b'7');
+            self.left -= n as u64;
+            self.pulled += n as u64;
+            Ok(n)
+        }
+    }
+
+    fn no_newline() -> NoNewline {
+        NoNewline { left: 64 << 20, pulled: 0 }
+    }
+
+    /// What a capped reader may pull: the cap plus one `BufReader` buffer.
+    const PULL_BOUND: u64 = MAX_CSV_LINE as u64 + 8 * 1024;
+
+    #[test]
+    fn overlong_header_line_fails_after_a_bounded_read() {
+        let mut src = no_newline();
+        let err = CsvReader::new(&mut src, "t".into(), "T".into()).err().expect("rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(src.pulled <= PULL_BOUND, "pulled {} bytes", src.pulled);
+    }
+
+    #[test]
+    fn overlong_event_line_fails_after_a_bounded_read() {
+        let mut src = no_newline();
+        let header = format!("{CSV_HEADER}\n0x10,jump,1,0x20,0,\n");
+        let mut r =
+            CsvReader::new(header.as_bytes().chain(&mut src), "t".into(), "T".into()).unwrap();
+        assert!(r.next_event().is_some());
+        assert!(r.next_event().is_none());
+        let err = r.decode_error().expect("overlong line recorded");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("line 3"), "{err}");
+        drop(r);
+        assert!(src.pulled <= PULL_BOUND, "pulled {} bytes", src.pulled);
     }
 
     #[test]

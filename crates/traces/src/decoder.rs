@@ -25,9 +25,8 @@ pub struct ContainerInfo {
     pub raw_bytes: u64,
     /// Total on-disk payload bytes across all blocks.
     pub comp_bytes: u64,
-    /// On-disk bytes of the seekable block-index footer section, when the
-    /// container carries one (`None` for index-less files).
-    pub index_bytes: Option<u64>,
+    /// On-disk bytes of the seekable block-index section.
+    pub index_bytes: u64,
 }
 
 impl ContainerInfo {
@@ -44,7 +43,7 @@ impl ContainerInfo {
 /// A streaming trace decoder: an [`EventSource`] with error reporting and
 /// optional size metadata.
 pub trait TraceDecoder: EventSource {
-    /// Codec name that produced this decoder (e.g. `"ttr"`).
+    /// Codec name that produced this decoder (e.g. `"ttr3"`).
     fn format(&self) -> &'static str;
 
     /// Block/compression vitals, for formats with a block structure.

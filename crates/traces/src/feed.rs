@@ -11,13 +11,13 @@
 //!
 //! Two codec families fall out:
 //!
-//! * **Streaming** (`.ttr` v2, CSV): the layout decodes front-to-back,
-//!   so the decoder wraps the live stream directly. Memory stays
-//!   bounded by the static-branch table, and the *caller's* reader is
-//!   pulled one block at a time — which is exactly how the server
-//!   exerts backpressure (it simply does not read the socket while the
-//!   simulation is busy).
-//! * **Spooled** (`.ttr` v3, CBP): the container's table/footer lives
+//! * **Streaming** (CSV): the layout decodes front-to-back, so the
+//!   decoder wraps the live stream directly. Memory stays bounded by one
+//!   capped line ([`crate::csv::MAX_CSV_LINE`]), and the *caller's*
+//!   reader is pulled one block at a time — which is exactly how the
+//!   server exerts backpressure (it simply does not read the socket
+//!   while the simulation is busy).
+//! * **Spooled** (`.ttr3`, CBP): the container's table/footer lives
 //!   at the end, so the stream is copied to a temporary file under the
 //!   caller's spool directory first, then opened through the ordinary
 //!   path route. The spool file keeps the hinted file *name* (so
@@ -241,14 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn ttr_v2_feed_streams_without_spooling() {
-        let spool = tmp("v2");
+    fn csv_feed_streams_without_spooling() {
+        let spool = tmp("csv");
         let r = CodecRegistry::standard();
-        let bytes = encode("ttr");
+        let bytes = encode("csv");
         let mut d = r.open_feed(Box::new(io::Cursor::new(bytes)), None, &spool).unwrap();
-        assert_eq!(d.format(), "ttr");
+        assert_eq!(d.format(), "csv");
         assert_eq!(d.name(), "INT01");
-        // Nothing spooled: the v2 layout decodes off the live stream.
+        // Nothing spooled: line-oriented text decodes off the live stream.
         assert_eq!(spool_entries(&spool), 0);
         let n = drain_checked(d.as_mut()).unwrap();
         assert_eq!(n, sample_trace().events.len() as u64);
@@ -285,7 +285,7 @@ mod tests {
         let spool = tmp("match");
         let r = CodecRegistry::standard();
         let direct = sample_trace();
-        for codec_name in ["ttr", "ttr3", "csv", "cbp"] {
+        for codec_name in ["ttr3", "csv", "cbp"] {
             let bytes = encode(codec_name);
             let hint = format!("INT01.{codec_name}");
             let mut d = r

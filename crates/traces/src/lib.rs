@@ -10,13 +10,12 @@
 //! * [`decoder`] — [`TraceDecoder`], the streaming-decoder contract:
 //!   an [`EventSource`](workloads::EventSource) plus error reporting, so
 //!   corrupt input ends a simulation detectably instead of silently;
-//! * [`ttr`] — the native `.ttr` v2 format: deduplicated static-branch
-//!   table + LEB128-packed event stream, lossless, with a reserved
-//!   compression-scheme byte for a future real compressor;
-//! * [`ttr3`] — the `.ttr` v3 container: streaming table-at-end layout
-//!   (bounded-memory recording) with scheme-compressed event blocks;
-//! * [`scheme`] — the [`BlockScheme`] registry behind the v3 scheme byte:
-//!   stored blocks plus a dependency-free LZ77, open for a real zstd;
+//! * [`ttr3`] — the native `.ttr3` container: LEB128-packed event records
+//!   in LZ-compressed blocks, a seek index, and a deduplicated
+//!   static-branch table at the end, so recording streams in bounded
+//!   memory; lossless;
+//! * [`scheme`] — the [`BlockScheme`] registry behind the `.ttr3` scheme
+//!   byte: a dependency-free LZ77, open for a real zstd;
 //! * [`cbp`] — the `cbp-experiments` branch-table + 16-bit entry layout
 //!   (sans zstd), for interop with externally recorded traces;
 //! * [`csv`] — plain text for hand-authored regression traces.
@@ -35,13 +34,13 @@
 //!
 //! let dir = std::env::temp_dir().join("traces-doctest");
 //! std::fs::create_dir_all(&dir).unwrap();
-//! let path = dir.join("INT05.ttr");
+//! let path = dir.join("INT05.ttr3");
 //!
 //! // Record a synthetic trace, then reopen it via autodetection.
 //! let trace = by_name("INT05", Scale::Tiny).unwrap().generate();
 //! let registry = CodecRegistry::standard();
 //! let mut file = std::fs::File::create(&path).unwrap();
-//! registry.by_name("ttr").unwrap().encode(&mut file, &trace).unwrap();
+//! registry.by_name("ttr3").unwrap().encode(&mut file, &trace).unwrap();
 //! drop(file);
 //!
 //! let mut source = registry.open(&path).unwrap();
@@ -58,7 +57,6 @@ pub mod csv;
 pub mod decoder;
 pub mod feed;
 pub mod scheme;
-pub mod ttr;
 pub mod ttr3;
 pub mod varint;
 
@@ -67,6 +65,5 @@ pub use codec::{file_meta, CodecRegistry, TraceCodec, SNIFF_LEN};
 pub use csv::{CsvCodec, CsvReader};
 pub use decoder::{drain_checked, finish, ContainerInfo, TraceDecoder};
 pub use feed::FeedOpen;
-pub use scheme::{BlockScheme, LzScheme, RawScheme, SCHEMES};
-pub use ttr::{TtrCodec, TtrReader};
+pub use scheme::{BlockScheme, LzScheme, SCHEMES};
 pub use ttr3::{Ttr3Codec, Ttr3Reader, Ttr3Summary, Ttr3Writer, TTR3_INDEX_FLAG};

@@ -1,11 +1,11 @@
-//! Block compression schemes behind the `.ttr` scheme byte.
+//! Block compression schemes behind the `.ttr3` scheme byte.
 //!
-//! The v3 container compresses its event blocks through a pluggable
-//! [`BlockScheme`]; the scheme byte in the header names which one. The
-//! registry is deliberately open: the container is built offline with no
-//! crates.io access, so the only compressor shipped is a dependency-free
-//! greedy LZ77, but a real zstd binding drops in as a new row of
-//! [`SCHEMES`] without touching the container layout.
+//! The container compresses its event blocks through a [`BlockScheme`];
+//! the low 7 bits of the header's scheme byte name which one. The only
+//! compressor shipped is a dependency-free greedy LZ77 (the repository
+//! builds offline with no crates.io access); a real zstd binding would
+//! drop in as a new row of [`SCHEMES`] without touching the container
+//! layout.
 //!
 //! LZ payload layout (varints LEB128, see [`crate::varint`]):
 //!
@@ -32,10 +32,11 @@ pub const MAX_BLOCK_RAW: usize = 1 << 26;
 
 /// One block compression scheme: a self-contained byte-block transform.
 pub trait BlockScheme: Send + Sync {
-    /// The scheme byte this codec claims in the `.ttr` v3 header.
+    /// The scheme byte this codec claims in the `.ttr3` header (low 7
+    /// bits).
     fn id(&self) -> u8;
 
-    /// Short scheme name (also the `--scheme` CLI token).
+    /// Short scheme name, as `tage_trace inspect` reports it.
     fn name(&self) -> &'static str;
 
     /// Compresses `raw`. Infallible: every byte string is representable
@@ -52,43 +53,13 @@ pub trait BlockScheme: Send + Sync {
     fn decompress(&self, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>>;
 }
 
-/// Scheme 0: stored blocks, no transform.
-pub struct RawScheme;
-
-impl BlockScheme for RawScheme {
-    fn id(&self) -> u8 {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-
-    fn compress(&self, raw: &[u8]) -> Vec<u8> {
-        raw.to_vec()
-    }
-
-    fn decompress(&self, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
-        if raw_len > MAX_BLOCK_RAW {
-            return Err(invalid(format!("raw block of {raw_len} bytes exceeds the cap")));
-        }
-        if comp.len() != raw_len {
-            return Err(invalid(format!(
-                "stored block is {} bytes but the frame declares {raw_len}",
-                comp.len()
-            )));
-        }
-        Ok(comp.to_vec())
-    }
-}
-
 /// Shortest match the LZ compressor emits; shorter repeats stay literal.
 const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 15;
 
 /// Scheme 1: greedy hash-table LZ77 — one probe per position, matches
 /// extended maximally, no entropy stage. Dependency-free stand-in for a
-/// real compressor; typically 2–4× on `.ttr` event streams, whose varint
+/// real compressor; typically 2–4× on `.ttr3` event records, whose varint
 /// records repeat heavily across loop iterations.
 pub struct LzScheme;
 
@@ -218,20 +189,16 @@ fn invalid(msg: String) -> io::Error {
 
 /// The scheme-byte registry: `(name, byte, codec)`. The `tage_lint`
 /// doc-sync pass pins each row's name against the scheme table in
-/// DESIGN.md §3b, so a new scheme cannot ship undocumented.
+/// DESIGN.md §3b, so a new scheme cannot ship undocumented. It reads one
+/// row per line, hence the layout.
+#[rustfmt::skip]
 pub const SCHEMES: &[(&str, u8, &'static dyn BlockScheme)] = &[
-    ("raw", 0, &RawScheme),
     ("lz", 1, &LzScheme),
 ];
 
 /// Looks a scheme up by its scheme byte.
 pub fn by_id(id: u8) -> Option<&'static dyn BlockScheme> {
     SCHEMES.iter().find(|(_, b, _)| *b == id).map(|(_, _, s)| *s)
-}
-
-/// Looks a scheme up by its CLI name.
-pub fn by_name(name: &str) -> Option<&'static dyn BlockScheme> {
-    SCHEMES.iter().find(|(n, _, _)| *n == name).map(|(_, _, s)| *s)
 }
 
 #[cfg(test)]
@@ -256,10 +223,10 @@ mod tests {
             assert_eq!(scheme.id(), byte);
             assert_eq!(scheme.name(), name);
             assert_eq!(by_id(byte).map(|s| s.name()), Some(name));
-            assert_eq!(by_name(name).map(|s| s.id()), Some(byte));
         }
+        // Byte 0 (stored blocks) is not a registered scheme.
+        assert!(by_id(0).is_none());
         assert!(by_id(250).is_none());
-        assert!(by_name("zstd").is_none());
     }
 
     #[test]
@@ -298,15 +265,6 @@ mod tests {
         let comp = LzScheme.compress(&raw);
         assert!(comp.len() < 20);
         assert_eq!(LzScheme.decompress(&comp, 1000).unwrap(), raw);
-    }
-
-    #[test]
-    fn raw_scheme_is_identity_and_checks_length() {
-        let data = noise(100, 3);
-        assert_eq!(RawScheme.compress(&data), data);
-        assert_eq!(RawScheme.decompress(&data, 100).unwrap(), data);
-        assert!(RawScheme.decompress(&data, 99).is_err());
-        assert!(RawScheme.decompress(&data, MAX_BLOCK_RAW + 1).is_err());
     }
 
     #[test]

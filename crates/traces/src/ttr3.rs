@@ -1,21 +1,21 @@
-//! The native `.ttr` v3 binary trace format: streaming, block-compressed,
-//! table-at-end.
+//! The native `.ttr3` binary trace container: streaming, LZ-compressed
+//! event blocks, a seek index, and the static-branch table at the end.
 //!
-//! v2 ([`crate::ttr`]) puts the static-branch table *before* the event
-//! stream, which forces an encoder to see every event before it can write
-//! byte one — fine for materialized traces, fatal for `Scale::Full`+
-//! recording. v3 moves the table to a footer located by a fixed-size
-//! trailer, so the writer streams events as they arrive and its peak
-//! memory is one block buffer plus the static footprint, independent of
-//! the trace length. Blocks are compressed through the pluggable
-//! [`crate::scheme`] registry named by the header's scheme byte.
+//! The table sits in a footer located by a fixed-size trailer, so the
+//! writer streams events as they arrive and its peak memory is one block
+//! buffer plus the static footprint, independent of the trace length.
+//! Blocks are compressed through the [`crate::scheme`] registry named by
+//! the header's scheme byte, and a block index between the frames and the
+//! table lets a reader seek to any event in O(blocks).
 //!
 //! Layout (all multi-byte integers little-endian, varints LEB128):
 //!
 //! ```text
 //! header:
 //!   magic            8 bytes  "TAGETTR3"
-//!   scheme           u8       crate::scheme registry byte (0=raw, 1=lz)
+//!   scheme           u8       registry scheme (low 7 bits, 1 = lz) |
+//!                             TTR3_INDEX_FLAG (0x80); 0x81 is the only
+//!                             byte written or accepted
 //!   name             u16 len + UTF-8 bytes
 //!   category         u16 len + UTF-8 bytes
 //! block frames (repeated):
@@ -23,6 +23,11 @@
 //!   raw_len          u32      decompressed payload bytes
 //!   comp_len         u32      on-disk payload bytes
 //!   payload          comp_len bytes, scheme-compressed event records
+//! block index:
+//!   magic            8 bytes  "TAGEIDX3"
+//!   block_count      u32      equals the number of frames
+//!   per block:       frame_offset u64 (file offset of its frame header),
+//!                    cum_events u64 (events in all earlier blocks)
 //! branch table (branch_count entries, first-appearance order):
 //!   pc_delta         ZigZag LEB128   pc − previous entry's pc (first: pc)
 //!   kind             u8       0=cond 1=jump 2=ijump 3=call 4=ret
@@ -35,41 +40,47 @@
 //!   end magic        8 bytes  "TAGEEND3"
 //! ```
 //!
-//! A decompressed block payload is a run of v2 event records
-//! ([`crate::ttr::encode_event_record`]) whose site indices refer to the
-//! footer table; the index delta baseline resets to 0 at every block
-//! boundary, so blocks decode independently. Site defaults are
-//! first-observed per side, exactly as in v2. The writer needs only
-//! `Write` (it counts bytes to learn `table_offset`); the reader needs
-//! `Read + Seek` to fetch the footer before streaming blocks.
+//! A decompressed block payload is a run of event records:
+//!
+//! ```text
+//!   index_delta      ZigZag LEB128   site index − previous record's index
+//!                                    (the baseline is 0 at every block start)
+//!   flags            u8       bit0 taken, bit1 has_load,
+//!                             bit2 target override, bits 3–7 zero
+//!   uops_before      LEB128   (≤ 65535)
+//!   [bit2] target    ZigZag LEB128   target − the site's default target
+//!   [bit1] load_addr LEB128
+//! ```
+//!
+//! Site indices refer to the footer table, and each site's default target
+//! per direction is the first one observed. Events matching it (the
+//! overwhelmingly common case) cost nothing; a divergent target rides an
+//! explicit override, so the format is lossless for arbitrary event
+//! streams. Blocks decode independently. The writer needs only `Write` (it
+//! counts bytes to learn every offset); the reader needs `Read + Seek` to
+//! fetch the footer before streaming blocks.
 
 use crate::decoder::{ContainerInfo, TraceDecoder};
 use crate::scheme::{self, BlockScheme, MAX_BLOCK_RAW};
-use crate::ttr::{
-    code_kind, decode_event_record, encode_event_record, kind_code, read_str, write_str,
-    TableEntry, MAX_BRANCH_TABLE,
-};
 use crate::varint;
+use simkit::predictor::BranchKind;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use workloads::event::{EventSource, Trace, TraceEvent};
 
-/// Leading magic of a `.ttr` v3 file.
+/// Leading magic of a `.ttr3` file.
 pub const TTR3_MAGIC: &[u8; 8] = b"TAGETTR3";
 
 /// Trailing magic closing the fixed trailer.
 pub const TTR3_END_MAGIC: &[u8; 8] = b"TAGEEND3";
 
-/// Feature bit in the header scheme byte: the file carries a seekable
-/// block-index footer section between the frame sentinel and the branch
-/// table. The compression scheme proper lives in the low 7 bits, so
-/// pre-index readers reject flagged files loudly (unknown scheme byte)
-/// instead of misparsing them, and flagged writers stay readable by any
-/// index-aware reader even when the index is ignored.
+/// Bit of the header scheme byte announcing the block-index section. The
+/// compression scheme proper lives in the low 7 bits. Every file carries
+/// the index, so readers reject a header without this bit.
 pub const TTR3_INDEX_FLAG: u8 = 0x80;
 
-/// Magic opening the block-index footer section.
+/// Magic opening the block-index section.
 pub const TTR3_INDEX_MAGIC: &[u8; 8] = b"TAGEIDX3";
 
 /// Fixed trailer size: branch_count u32 + event_count u64 + table_offset
@@ -83,6 +94,145 @@ pub const DEFAULT_BLOCK_RAW: usize = 64 * 1024;
 
 /// Cap on events per block (second flush trigger, bounds the frame field).
 pub const MAX_BLOCK_EVENTS: u32 = 1 << 20;
+
+/// Decoder cap on static-branch-table entries: bounds `open` memory on
+/// corrupt or adversarial trailers.
+pub const MAX_BRANCH_TABLE: u32 = 1 << 24;
+
+const FLAG_TAKEN: u8 = 1 << 0;
+const FLAG_LOAD: u8 = 1 << 1;
+const FLAG_TARGET: u8 = 1 << 2;
+
+fn kind_code(k: BranchKind) -> u8 {
+    match k {
+        BranchKind::Conditional => 0,
+        BranchKind::DirectJump => 1,
+        BranchKind::IndirectJump => 2,
+        BranchKind::Call => 3,
+        BranchKind::Return => 4,
+    }
+}
+
+fn code_kind(c: u8) -> io::Result<BranchKind> {
+    Ok(match c {
+        0 => BranchKind::Conditional,
+        1 => BranchKind::DirectJump,
+        2 => BranchKind::IndirectJump,
+        3 => BranchKind::Call,
+        4 => BranchKind::Return,
+        other => return Err(bad(format!("invalid branch kind code {other}"))),
+    })
+}
+
+fn write_str(w: &mut dyn Write, s: &str) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    let len = u16::try_from(bytes.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "string exceeds 64KiB"))?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(bytes)
+}
+
+fn read_str(r: &mut dyn Read) -> io::Result<String> {
+    let mut len = [0u8; 2];
+    r.read_exact(&mut len)?;
+    let mut buf = vec![0u8; u16::from_le_bytes(len) as usize];
+    r.read_exact(&mut buf)?;
+    String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// The block scheme a header scheme byte names, if this container accepts
+/// the byte: a registered scheme with [`TTR3_INDEX_FLAG`] set.
+fn indexed_scheme(byte: u8) -> Option<&'static dyn BlockScheme> {
+    if byte & TTR3_INDEX_FLAG == 0 {
+        return None;
+    }
+    scheme::by_id(byte & !TTR3_INDEX_FLAG)
+}
+
+/// One static-branch-table entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct TableEntry {
+    pc: u64,
+    kind: BranchKind,
+    taken_target: u64,
+    nottaken_target: u64,
+}
+
+impl TableEntry {
+    fn default_target(&self, taken: bool) -> u64 {
+        if taken {
+            self.taken_target
+        } else {
+            self.nottaken_target
+        }
+    }
+}
+
+/// Encodes one event record (index delta + flags + fields) against its
+/// site entry.
+fn encode_event_record(
+    w: &mut dyn Write,
+    site: &TableEntry,
+    index: usize,
+    prev_index: &mut i64,
+    e: &TraceEvent,
+) -> io::Result<()> {
+    let default = site.default_target(e.taken);
+    let mut flags = 0u8;
+    if e.taken {
+        flags |= FLAG_TAKEN;
+    }
+    if e.load_addr.is_some() {
+        flags |= FLAG_LOAD;
+    }
+    if e.target != default {
+        flags |= FLAG_TARGET;
+    }
+    varint::write_i64(w, index as i64 - *prev_index)?;
+    w.write_all(&[flags])?;
+    varint::write_u64(w, u64::from(e.uops_before))?;
+    if flags & FLAG_TARGET != 0 {
+        varint::write_i64(w, e.target.wrapping_sub(default) as i64)?;
+    }
+    if let Some(addr) = e.load_addr {
+        varint::write_u64(w, addr)?;
+    }
+    *prev_index = index as i64;
+    Ok(())
+}
+
+/// Decodes one event record against `table` — the inverse of
+/// [`encode_event_record`].
+fn decode_event_record(
+    r: &mut dyn Read,
+    table: &[TableEntry],
+    prev_index: &mut i64,
+) -> io::Result<TraceEvent> {
+    let index = prev_index.wrapping_add(varint::read_i64(r)?);
+    let site = usize::try_from(index)
+        .ok()
+        .and_then(|i| table.get(i))
+        .copied()
+        .ok_or_else(|| bad(format!("event site index {index} outside the branch table")))?;
+    *prev_index = index;
+    let mut byte = [0u8; 1];
+    r.read_exact(&mut byte)?;
+    let flags = byte[0];
+    if flags & !(FLAG_TAKEN | FLAG_LOAD | FLAG_TARGET) != 0 {
+        return Err(bad(format!("invalid event flags {flags:#04x}")));
+    }
+    let taken = flags & FLAG_TAKEN != 0;
+    let uops = varint::read_u64(r)?;
+    let uops_before =
+        u16::try_from(uops).map_err(|_| bad("uops_before exceeds u16".to_string()))?;
+    let mut target = site.default_target(taken);
+    if flags & FLAG_TARGET != 0 {
+        target = target.wrapping_add(varint::read_i64(r)? as u64);
+    }
+    let load_addr =
+        if flags & FLAG_LOAD != 0 { Some(varint::read_u64(r)?) } else { None };
+    Ok(TraceEvent { pc: site.pc, kind: site.kind, taken, target, uops_before, load_addr })
+}
 
 /// Writer-side summary returned by [`Ttr3Writer::finish`]: the bounded-
 /// memory recording evidence (`peak_block_raw`) plus the compression
@@ -139,9 +289,10 @@ impl SiteSlot {
     }
 }
 
-/// A single-pass, bounded-memory `.ttr` v3 encoder. Push events as they
+/// A single-pass, bounded-memory `.ttr3` encoder. Push events as they
 /// arrive; memory held is one block buffer (~[`DEFAULT_BLOCK_RAW`]) plus
-/// the growing static-branch table, never the event stream.
+/// the growing static-branch table and 16 bytes of index per block, never
+/// the event stream.
 pub struct Ttr3Writer<W: Write> {
     out: CountingWriter<W>,
     scheme: &'static dyn BlockScheme,
@@ -152,29 +303,26 @@ pub struct Ttr3Writer<W: Write> {
     prev_index: i64,
     block_target: usize,
     summary: Ttr3Summary,
-    // `Some` when the header scheme byte carries [`TTR3_INDEX_FLAG`]:
-    // one `(frame_offset, cum_events)` pair per flushed block, emitted as
-    // the footer index section by `finish`.
-    block_index: Option<Vec<(u64, u64)>>,
+    // One `(frame_offset, cum_events)` pair per flushed block, written as
+    // the block-index section by `finish`.
+    block_index: Vec<(u64, u64)>,
 }
 
 impl<W: Write> Ttr3Writer<W> {
-    /// Writes the header and prepares for streaming under the given
-    /// scheme byte. OR [`TTR3_INDEX_FLAG`] into `scheme_id` to also
-    /// record the seekable block-index footer; the low 7 bits name the
-    /// compression scheme.
+    /// Writes the header and prepares for streaming. `scheme_id` must be a
+    /// registered scheme with [`TTR3_INDEX_FLAG`] set, which today means
+    /// `1 | TTR3_INDEX_FLAG` (lz blocks, as [`Ttr3Codec::default`] uses).
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` for an unregistered scheme byte or
-    /// over-long name/category, plus any writer I/O error.
+    /// Returns `InvalidInput` for any other scheme byte or an over-long
+    /// name/category, plus any writer I/O error.
     pub fn new(writer: W, name: &str, category: &str, scheme_id: u8) -> io::Result<Self> {
-        let scheme = scheme::by_id(scheme_id & !TTR3_INDEX_FLAG).ok_or_else(|| {
+        let scheme = indexed_scheme(scheme_id).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "no registered compression scheme for byte {}",
-                    scheme_id & !TTR3_INDEX_FLAG
+                    "scheme byte {scheme_id:#04x} is not a registered scheme with the index flag"
                 ),
             )
         })?;
@@ -193,7 +341,7 @@ impl<W: Write> Ttr3Writer<W> {
             prev_index: 0,
             block_target: DEFAULT_BLOCK_RAW,
             summary: Ttr3Summary::default(),
-            block_index: (scheme_id & TTR3_INDEX_FLAG != 0).then(Vec::new),
+            block_index: Vec::new(),
         })
     }
 
@@ -251,12 +399,11 @@ impl<W: Write> Ttr3Writer<W> {
         if self.block_events == 0 {
             return Ok(());
         }
-        if let Some(index) = &mut self.block_index {
-            // Absolute offset of this frame's header, and the events that
-            // precede the block (summary.events already counts this
-            // block's events).
-            index.push((self.out.written, self.summary.events - u64::from(self.block_events)));
-        }
+        // Absolute offset of this frame's header, and the events that
+        // precede the block (summary.events already counts this block's
+        // events).
+        self.block_index
+            .push((self.out.written, self.summary.events - u64::from(self.block_events)));
         self.summary.peak_block_raw = self.summary.peak_block_raw.max(self.raw.len());
         let comp = self.scheme.compress(&self.raw);
         self.out.write_all(&self.block_events.to_le_bytes())?;
@@ -272,7 +419,8 @@ impl<W: Write> Ttr3Writer<W> {
         Ok(())
     }
 
-    /// Flushes the final block and writes the footer table and trailer.
+    /// Flushes the final block and writes the block index, the footer
+    /// table and the trailer.
     ///
     /// # Errors
     ///
@@ -280,17 +428,11 @@ impl<W: Write> Ttr3Writer<W> {
     pub fn finish(mut self) -> io::Result<Ttr3Summary> {
         self.flush_block()?;
         self.out.write_all(&0u32.to_le_bytes())?;
-        if let Some(index) = &self.block_index {
-            // The index section sits between the frame sentinel and the
-            // branch table; the trailer's table_offset still names the
-            // table, so the section is located purely by the scheme-byte
-            // feature flag.
-            self.out.write_all(TTR3_INDEX_MAGIC)?;
-            self.out.write_all(&(index.len() as u32).to_le_bytes())?;
-            for (frame_offset, cum_events) in index {
-                self.out.write_all(&frame_offset.to_le_bytes())?;
-                self.out.write_all(&cum_events.to_le_bytes())?;
-            }
+        self.out.write_all(TTR3_INDEX_MAGIC)?;
+        self.out.write_all(&(self.block_index.len() as u32).to_le_bytes())?;
+        for (frame_offset, cum_events) in &self.block_index {
+            self.out.write_all(&frame_offset.to_le_bytes())?;
+            self.out.write_all(&cum_events.to_le_bytes())?;
         }
         let table_offset = self.out.written;
         let mut prev_pc = 0u64;
@@ -312,7 +454,8 @@ impl<W: Write> Ttr3Writer<W> {
     }
 }
 
-/// Serializes a materialized trace as `.ttr` v3 under the given scheme.
+/// Serializes a materialized trace as `.ttr3` under the given scheme byte
+/// (see [`Ttr3Writer::new`]).
 ///
 /// # Errors
 ///
@@ -325,8 +468,8 @@ pub fn encode(w: &mut dyn Write, trace: &Trace, scheme_id: u8) -> io::Result<Ttr
     writer.finish()
 }
 
-/// A streaming `.ttr` v3 decoder: reads the footer table up front (one
-/// seek), then streams blocks, holding one decompressed block at a time.
+/// A streaming `.ttr3` decoder: reads the footer up front (one seek),
+/// then streams blocks, holding one decompressed block at a time.
 pub struct Ttr3Reader<R> {
     name: String,
     category: String,
@@ -341,36 +484,39 @@ pub struct Ttr3Reader<R> {
     block_left: u32,
     prev_index: i64,
     error: Option<io::Error>,
-    // `Some` when the file carries the [`TTR3_INDEX_FLAG`] footer: one
-    // `(frame_offset, cum_events)` pair per block, validated entry-by-
+    // One `(frame_offset, cum_events)` pair per block, validated entry by
     // entry against the open-time frame-chain walk — `skip` can therefore
     // never mis-seek on a corrupt index (corruption fails at open).
-    block_index: Option<Vec<(u64, u64)>>,
+    block_index: Vec<(u64, u64)>,
 }
 
 impl<R: Read + Seek> Ttr3Reader<R> {
-    /// Reads the header, trailer, and footer table, validates the block
-    /// frame chain, and leaves the reader positioned at the first block.
+    /// Reads the header, trailer, block index and footer table, validates
+    /// the block frame chain, and leaves the reader positioned at the
+    /// first block.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on bad leading/trailing magic, an
-    /// unregistered scheme byte, an oversized branch table or block
-    /// frame, a frame chain that does not land exactly on the footer, or
-    /// a block-frame event total disagreeing with the trailer — plus any
-    /// I/O error.
+    /// Returns `InvalidData` on bad leading/trailing magic, a scheme byte
+    /// that is unregistered or lacks [`TTR3_INDEX_FLAG`], an oversized
+    /// branch table or block frame, a block index disagreeing with the
+    /// frame chain, a frame chain that does not land exactly on the
+    /// footer, or a block-frame event total disagreeing with the trailer —
+    /// plus any I/O error.
     pub fn new(mut reader: R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic)?;
         if &magic != TTR3_MAGIC {
-            return Err(bad("bad .ttr v3 magic".to_string()));
+            return Err(bad("bad .ttr3 magic".to_string()));
         }
         let mut byte = [0u8; 1];
         reader.read_exact(&mut byte)?;
-        let has_index = byte[0] & TTR3_INDEX_FLAG != 0;
-        let scheme_id = byte[0] & !TTR3_INDEX_FLAG;
-        let scheme = scheme::by_id(scheme_id).ok_or_else(|| {
-            bad(format!("unknown .ttr v3 compression scheme byte {scheme_id}"))
+        let scheme = indexed_scheme(byte[0]).ok_or_else(|| {
+            bad(format!(
+                "unsupported .ttr3 scheme byte {:#04x} (needs a registered scheme with the \
+                 index flag)",
+                byte[0]
+            ))
         })?;
         let name = read_str(&mut reader)?;
         let category = read_str(&mut reader)?;
@@ -378,7 +524,7 @@ impl<R: Read + Seek> Ttr3Reader<R> {
 
         let file_len = reader.seek(SeekFrom::End(0))?;
         if file_len < events_start + 4 + TTR3_TRAILER_LEN {
-            return Err(bad("file too short for a .ttr v3 trailer".to_string()));
+            return Err(bad("file too short for a .ttr3 trailer".to_string()));
         }
         let trailer_start = file_len - TTR3_TRAILER_LEN;
         reader.seek(SeekFrom::Start(trailer_start))?;
@@ -392,7 +538,7 @@ impl<R: Read + Seek> Ttr3Reader<R> {
         let table_offset = u64::from_le_bytes(n64);
         reader.read_exact(&mut magic)?;
         if &magic != TTR3_END_MAGIC {
-            return Err(bad("bad .ttr v3 end magic".to_string()));
+            return Err(bad("bad .ttr3 end magic".to_string()));
         }
         if branch_count > MAX_BRANCH_TABLE {
             return Err(bad(format!("branch table of {branch_count} entries exceeds the cap")));
@@ -402,6 +548,8 @@ impl<R: Read + Seek> Ttr3Reader<R> {
         }
 
         reader.seek(SeekFrom::Start(table_offset))?;
+        // The count is untrusted until the table bytes actually decode:
+        // cap the up-front allocation.
         let mut table = Vec::with_capacity((branch_count as usize).min(1 << 16));
         let mut prev_pc = 0u64;
         for _ in 0..branch_count {
@@ -418,27 +566,26 @@ impl<R: Read + Seek> Ttr3Reader<R> {
         }
 
         // Walk the frame chain once (headers only, payloads skipped) to
-        // validate it and collect the block/compression vitals — and, as
-        // a side product, the ground-truth block offsets the footer index
-        // is checked against.
+        // validate it and collect the block/compression vitals — and the
+        // ground-truth block offsets the index is checked against.
         reader.seek(SeekFrom::Start(events_start))?;
         let mut info = ContainerInfo {
-            scheme_id,
+            scheme_id: scheme.id(),
             scheme: scheme.name(),
             blocks: 0,
             raw_bytes: 0,
             comp_bytes: 0,
-            index_bytes: None,
+            index_bytes: 0,
         };
         let mut frame_events = 0u64;
-        let mut walk_index: Vec<(u64, u64)> = Vec::new();
+        let mut block_index: Vec<(u64, u64)> = Vec::new();
         loop {
             let frame_offset = reader.stream_position()?;
             let (events, raw_len, comp_len) = read_frame(&mut reader)?;
             if events == 0 {
                 break;
             }
-            walk_index.push((frame_offset, frame_events));
+            block_index.push((frame_offset, frame_events));
             info.blocks += 1;
             info.raw_bytes += u64::from(raw_len);
             info.comp_bytes += u64::from(comp_len);
@@ -449,41 +596,36 @@ impl<R: Read + Seek> Ttr3Reader<R> {
             }
             reader.seek(SeekFrom::Current(i64::from(comp_len)))?;
         }
-        let block_index = if has_index {
-            // The index section sits right after the frame sentinel. It
-            // must agree with the walk exactly — a corrupt or truncated
-            // index fails the open loudly instead of mis-seeking later.
-            reader.read_exact(&mut magic)?;
-            if &magic != TTR3_INDEX_MAGIC {
-                return Err(bad("bad .ttr v3 block-index magic".to_string()));
-            }
-            reader.read_exact(&mut n32)?;
-            let count = u32::from_le_bytes(n32);
-            if u64::from(count) != info.blocks {
+        // The index section sits right after the frame sentinel. It must
+        // agree with the walk exactly — a corrupt or truncated index fails
+        // the open loudly instead of mis-seeking later.
+        reader.read_exact(&mut magic)?;
+        if &magic != TTR3_INDEX_MAGIC {
+            return Err(bad("bad .ttr3 block-index magic".to_string()));
+        }
+        reader.read_exact(&mut n32)?;
+        let count = u32::from_le_bytes(n32);
+        if u64::from(count) != info.blocks {
+            return Err(bad(format!(
+                "block index declares {count} blocks, the frame chain holds {}",
+                info.blocks
+            )));
+        }
+        for (i, &(frame_offset, cum_events)) in block_index.iter().enumerate() {
+            reader.read_exact(&mut n64)?;
+            let idx_offset = u64::from_le_bytes(n64);
+            reader.read_exact(&mut n64)?;
+            let idx_events = u64::from_le_bytes(n64);
+            if (idx_offset, idx_events) != (frame_offset, cum_events) {
                 return Err(bad(format!(
-                    "block index declares {count} blocks, the frame chain holds {}",
-                    info.blocks
+                    "block index entry {i} ({idx_offset}, {idx_events}) disagrees with the \
+                     frame chain ({frame_offset}, {cum_events})"
                 )));
             }
-            for (i, &(frame_offset, cum_events)) in walk_index.iter().enumerate() {
-                reader.read_exact(&mut n64)?;
-                let idx_offset = u64::from_le_bytes(n64);
-                reader.read_exact(&mut n64)?;
-                let idx_events = u64::from_le_bytes(n64);
-                if (idx_offset, idx_events) != (frame_offset, cum_events) {
-                    return Err(bad(format!(
-                        "block index entry {i} ({idx_offset}, {idx_events}) disagrees with \
-                         the frame chain ({frame_offset}, {cum_events})"
-                    )));
-                }
-            }
-            info.index_bytes = Some(8 + 4 + 16 * u64::from(count));
-            Some(walk_index)
-        } else {
-            None
-        };
+        }
+        info.index_bytes = 8 + 4 + 16 * u64::from(count);
         if reader.stream_position()? != table_offset {
-            return Err(bad("block chain does not end at the branch table".to_string()));
+            return Err(bad("block index does not end at the branch table".to_string()));
         }
         if frame_events != total {
             return Err(bad(format!(
@@ -612,32 +754,26 @@ impl<R: Read + Seek> EventSource for Ttr3Reader<R> {
         }
         let start = self.total - self.remaining;
         let target = start + n;
-        if let Some(index) = &self.block_index {
-            // Events decoded so far sit `block_left` short of the current
-            // block's end; a target past that end is reached by seeking
-            // straight to the frame holding it (the index was validated
-            // against the frame chain at open), never by decompressing the
-            // blocks in between.
-            if target > start + u64::from(self.block_left) {
-                let i = index.partition_point(|&(_, cum)| cum <= target) - 1;
-                let (frame_offset, cum_events) = index[i];
-                match self.reader.seek(SeekFrom::Start(frame_offset)) {
-                    Ok(_) => {
-                        self.block.clear();
-                        self.block_pos = 0;
-                        self.block_left = 0;
-                        self.prev_index = 0;
-                        self.remaining = self.total - cum_events;
-                    }
-                    Err(e) => {
-                        self.error = Some(e);
-                        return 0;
-                    }
-                }
+        // Events decoded so far sit `block_left` short of the current
+        // block's end; a target past that end is reached by seeking
+        // straight to the frame holding it (the index was validated
+        // against the frame chain at open), never by decompressing the
+        // blocks in between.
+        if target > start + u64::from(self.block_left) {
+            let i = self.block_index.partition_point(|&(_, cum)| cum <= target) - 1;
+            let (frame_offset, cum_events) = self.block_index[i];
+            if let Err(e) = self.reader.seek(SeekFrom::Start(frame_offset)) {
+                self.error = Some(e);
+                return 0;
             }
+            self.block.clear();
+            self.block_pos = 0;
+            self.block_left = 0;
+            self.prev_index = 0;
+            self.remaining = self.total - cum_events;
         }
         // Decode-discard the within-block remainder to land exactly on
-        // `target` (the whole distance, for index-less files).
+        // `target`.
         while self.total - self.remaining < target {
             if self.next_event().is_none() {
                 break;
@@ -669,17 +805,17 @@ impl<R: Read + Seek> TraceDecoder for Ttr3Reader<R> {
     }
 }
 
-/// The `.ttr` v3 [`crate::TraceCodec`]. Carries the scheme byte used for
-/// encoding; decoding reads whatever scheme the file names.
+/// The `.ttr3` [`crate::TraceCodec`]. Carries the header scheme byte used
+/// for encoding (see [`Ttr3Writer::new`]); decoding reads whatever the
+/// file names.
 pub struct Ttr3Codec {
     /// Scheme byte for `encode`/`encode_stream` output.
     pub scheme_id: u8,
 }
 
 impl Default for Ttr3Codec {
-    /// Compression is the point of v3: default to the LZ scheme, with the
-    /// seekable block index on (it costs 16 bytes per ~64 KiB block and
-    /// buys O(1) `skip` for sampled simulation).
+    /// LZ blocks with the seek index: the one scheme byte the container
+    /// writes and reads.
     fn default() -> Self {
         Self { scheme_id: 1 | TTR3_INDEX_FLAG }
     }
@@ -691,7 +827,7 @@ impl crate::TraceCodec for Ttr3Codec {
     }
 
     fn description(&self) -> &'static str {
-        "native .ttr v3: streaming table-at-end container, block-compressed (lossless)"
+        "native .ttr3: streaming LZ-block container with a seek index (lossless)"
     }
 
     fn extensions(&self) -> &'static [&'static str] {
@@ -706,15 +842,11 @@ impl crate::TraceCodec for Ttr3Codec {
         encode(w, trace, self.scheme_id).map(|_| ())
     }
 
-    fn encode_stream(
-        &self,
-        w: &mut dyn Write,
-        make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-    ) -> io::Result<()> {
-        // Single pass: v3 is the streaming-native container.
-        let mut src = make_source()?;
-        let mut writer = Ttr3Writer::new(w, src.name(), src.category(), self.scheme_id)?;
-        while let Some(e) = src.next_event() {
+    fn encode_stream(&self, w: &mut dyn Write, source: &mut dyn EventSource) -> io::Result<()> {
+        // Single pass: the table lives in the footer, so events stream
+        // straight into blocks.
+        let mut writer = Ttr3Writer::new(w, source.name(), source.category(), self.scheme_id)?;
+        while let Some(e) = source.next_event() {
             writer.push(&e)?;
         }
         writer.finish().map(|_| ())
@@ -732,10 +864,24 @@ mod tests {
     use std::io::Cursor;
     use workloads::suite::{by_name, Scale};
 
-    fn encode_vec(t: &Trace, scheme_id: u8) -> Vec<u8> {
+    const NATIVE: u8 = 1 | TTR3_INDEX_FLAG;
+
+    fn encode_vec(t: &Trace) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode(&mut buf, t, scheme_id).unwrap();
+        encode(&mut buf, t, NATIVE).unwrap();
         buf
+    }
+
+    fn encode_blocks(t: &Trace, block_target: usize) -> (Vec<u8>, Ttr3Summary) {
+        let mut buf = Vec::new();
+        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, NATIVE)
+            .unwrap()
+            .with_block_target(block_target);
+        for e in &t.events {
+            w.push(e).unwrap();
+        }
+        let summary = w.finish().unwrap();
+        (buf, summary)
     }
 
     fn decode_vec(buf: Vec<u8>) -> io::Result<Trace> {
@@ -751,12 +897,9 @@ mod tests {
     }
 
     #[test]
-    fn suite_trace_round_trips_under_both_schemes() {
+    fn suite_trace_round_trips_losslessly() {
         let t = by_name("INT02", Scale::Tiny).unwrap().generate();
-        for scheme_id in [0u8, 1] {
-            let back = decode_vec(encode_vec(&t, scheme_id)).unwrap();
-            assert_eq!(back, t, "scheme {scheme_id}");
-        }
+        assert_eq!(decode_vec(encode_vec(&t)).unwrap(), t);
     }
 
     #[test]
@@ -764,14 +907,7 @@ mod tests {
         // A tiny block target forces many blocks, exercising the per-block
         // prev_index reset and the frame chain walk.
         let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
-        let mut buf = Vec::new();
-        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, 1)
-            .unwrap()
-            .with_block_target(128);
-        for e in &t.events {
-            w.push(e).unwrap();
-        }
-        let summary = w.finish().unwrap();
+        let (buf, summary) = encode_blocks(&t, 128);
         assert!(summary.blocks > 10, "only {} blocks", summary.blocks);
         assert_eq!(summary.events, t.events.len() as u64);
         assert!(summary.peak_block_raw < 256, "peak {}", summary.peak_block_raw);
@@ -795,14 +931,7 @@ mod tests {
         // near the flush threshold no matter how many events stream
         // through (here ~40× the threshold's worth).
         let t = by_name("MM01", Scale::Small).unwrap().generate();
-        let mut buf = Vec::new();
-        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, 1)
-            .unwrap()
-            .with_block_target(1024);
-        for e in &t.events {
-            w.push(e).unwrap();
-        }
-        let summary = w.finish().unwrap();
+        let (_, summary) = encode_blocks(&t, 1024);
         assert!(summary.raw_bytes > 40 * 1024, "trace too small: {}", summary.raw_bytes);
         // One event record never exceeds ~32 bytes, so the buffer peaks
         // just past the threshold.
@@ -810,44 +939,128 @@ mod tests {
     }
 
     #[test]
-    fn compressed_v3_decodes_to_v2_identical_stream() {
-        // v3(lz) → decode → re-encode as v2 must equal the direct v2
-        // encoding of the source trace, byte for byte.
-        let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-        let back = decode_vec(encode_vec(&t, 1)).unwrap();
-        let mut direct_v2 = Vec::new();
-        crate::ttr::encode(&mut direct_v2, &t).unwrap();
-        let mut roundtrip_v2 = Vec::new();
-        crate::ttr::encode(&mut roundtrip_v2, &back).unwrap();
-        assert_eq!(roundtrip_v2, direct_v2);
-    }
-
-    #[test]
-    fn lz_v3_is_at_most_seven_tenths_of_v2() {
-        // The compression acceptance bar: on the suite fixtures, v3+lz
-        // must come in at ≤ 0.7× the v2 size (and beat stored v3 blocks),
-        // while staying lossless.
-        for name in ["CLIENT01", "MM01", "INT02", "WS01"] {
+    fn reencoding_a_decoded_stream_is_byte_identical() {
+        // decode → re-encode must reproduce the file byte for byte: the
+        // property CI's `ttr3 -> csv -> ttr3` cmp rests on.
+        for name in ["WS01", "CLIENT01"] {
             let t = by_name(name, Scale::Tiny).unwrap().generate();
-            let mut v2 = Vec::new();
-            crate::ttr::encode(&mut v2, &t).unwrap();
-            let raw = encode_vec(&t, 0);
-            let lz = encode_vec(&t, 1);
-            assert!(
-                lz.len() * 10 <= v2.len() * 7,
-                "{name}: v3+lz {} bytes vs v2 {} bytes",
-                lz.len(),
-                v2.len()
-            );
-            assert!(lz.len() < raw.len(), "{name}: lz {} >= raw {}", lz.len(), raw.len());
-            assert_eq!(decode_vec(lz).unwrap(), t, "{name}");
+            let first = encode_vec(&t);
+            let back = decode_vec(first.clone()).unwrap();
+            assert_eq!(encode_vec(&back), first, "{name}");
         }
     }
 
     #[test]
-    fn rejects_bad_magic_scheme_and_trailer() {
+    fn lz_blocks_beat_their_raw_payload() {
+        // The point of the scheme: on the suite fixtures the compressed
+        // payload comes in at ≤ 0.7× the raw event records, losslessly.
+        for name in ["CLIENT01", "MM01", "INT02", "WS01"] {
+            let t = by_name(name, Scale::Tiny).unwrap().generate();
+            let mut buf = Vec::new();
+            let s = encode(&mut buf, &t, NATIVE).unwrap();
+            assert!(
+                s.comp_bytes * 10 <= s.raw_bytes * 7,
+                "{name}: lz {} bytes vs raw {} bytes",
+                s.comp_bytes,
+                s.raw_bytes
+            );
+            assert_eq!(decode_vec(buf).unwrap(), t, "{name}");
+        }
+    }
+
+    #[test]
+    fn raw_payload_is_compact() {
+        // The event records alone, before LZ: a fixed-width record codec
+        // (8-byte magic, two u32-length-prefixed strings and a u64 event
+        // count, then 21 bytes per event — pc, target, kind, taken, µops,
+        // load flag — plus 8 per load address) is more than 3× larger.
+        let t = by_name("MM01", Scale::Tiny).unwrap().generate();
+        let mut buf = Vec::new();
+        let packed = encode(&mut buf, &t, NATIVE).unwrap().raw_bytes as f64;
+        let loads = t.events.iter().filter(|e| e.load_addr.is_some()).count();
+        let v1 = (8 + 4 + t.name.len() + 4 + t.category.len() + 8 + 21 * t.events.len() + 8 * loads)
+            as f64;
+        assert!(packed < v1 / 3.0, "packed {packed} bytes vs fixed-width {v1} bytes");
+    }
+
+    #[test]
+    fn unconditional_and_divergent_target_events_round_trip() {
+        let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
+        assert!(t.events.iter().any(|e| !e.kind.is_conditional()));
+        assert_eq!(decode_vec(encode_vec(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn divergent_targets_use_overrides() {
+        // Same (pc, taken) with two different targets: the second event
+        // must survive via the override path.
+        let mk = |target| TraceEvent {
+            pc: 0x100,
+            kind: BranchKind::IndirectJump,
+            taken: true,
+            target,
+            uops_before: 3,
+            load_addr: None,
+        };
+        let t = Trace {
+            name: "ind".into(),
+            category: "TEST".into(),
+            events: vec![mk(0x8000), mk(0x9000), mk(0x8000)],
+        };
+        assert_eq!(decode_vec(encode_vec(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn extreme_addresses_round_trip() {
+        let mk = |pc, target| TraceEvent {
+            pc,
+            kind: BranchKind::Conditional,
+            taken: pc % 2 == 0,
+            target,
+            uops_before: u16::MAX,
+            load_addr: Some(u64::MAX),
+        };
+        let t = Trace {
+            name: "edge".into(),
+            category: "TEST".into(),
+            events: vec![mk(0, u64::MAX), mk(u64::MAX, 0), mk(1 << 63, 1)],
+        };
+        assert_eq!(decode_vec(encode_vec(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn rejects_out_of_range_event_index() {
+        let t = Trace {
+            name: "x".into(),
+            category: "X".into(),
+            events: vec![TraceEvent {
+                pc: 4,
+                kind: BranchKind::Conditional,
+                taken: true,
+                target: 8,
+                uops_before: 0,
+                load_addr: None,
+            }],
+        };
+        let mut buf = encode_vec(&t);
+        // The single 3-byte record (index delta, flags, µops) is too short
+        // for an LZ match, so the payload is one literal run: a length byte
+        // then the raw record. Bump the index delta past the table.
+        let frame = 8 + 1 + 2 + t.name.len() + 2 + t.category.len();
+        let raw_len = u32::from_le_bytes(buf[frame + 4..frame + 8].try_into().unwrap());
+        assert_eq!(raw_len, 3);
+        assert_eq!(buf[frame + 12], 3, "payload is one literal run");
+        assert_eq!(buf[frame + 13], 0, "index delta of the only record");
+        buf[frame + 13] = 0x04; // zigzag(2)
+        let err = decode_vec(buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("outside the branch table"), "{err}");
+    }
+
+    #[test]
+    fn rejects_bad_magic_scheme_trailer_and_oversized_table() {
         let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-        let good = encode_vec(&t, 1);
+        let good = encode_vec(&t);
         // Leading magic.
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
@@ -861,6 +1074,12 @@ mod tests {
         let n = bad_end.len();
         bad_end[n - 1] ^= 0xFF;
         assert!(Ttr3Reader::new(Cursor::new(bad_end)).is_err());
+        // A trailer claiming a huge branch table is rejected before any
+        // allocation of that size.
+        let mut huge = encode_vec(&Trace { name: "x".into(), category: "X".into(), events: vec![] });
+        let n = huge.len();
+        huge[n - 28..n - 24].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Ttr3Reader::new(Cursor::new(huge)).is_err());
         // Truncations anywhere must error at open or at finish — never
         // panic, never silently succeed.
         for frac in 1..8 {
@@ -871,57 +1090,65 @@ mod tests {
     }
 
     #[test]
-    fn unconditional_and_divergent_target_events_round_trip() {
-        let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
-        assert!(t.events.iter().any(|e| !e.kind.is_conditional()));
-        assert_eq!(decode_vec(encode_vec(&t, 1)).unwrap(), t);
-    }
-
-    fn encode_indexed(t: &Trace, block_target: usize) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, 1 | TTR3_INDEX_FLAG)
-            .unwrap()
-            .with_block_target(block_target);
-        for e in &t.events {
-            w.push(e).unwrap();
+    fn retired_layouts_fail_with_invalid_data() {
+        let good = encode_vec(&by_name("WS01", Scale::Tiny).unwrap().generate());
+        // The v2 container's magic differed from this one in the version
+        // digit; no registered codec claims it.
+        let mut v2 = good.clone();
+        v2[7] = b'2';
+        // Scheme byte 0 (the stored-block scheme) and an index-less lz
+        // header (flag bit clear).
+        let mut stored = good.clone();
+        stored[8] = 0;
+        let mut unindexed = good.clone();
+        unindexed[8] = 1;
+        for (label, bytes) in [("v2 magic", &v2), ("scheme 0", &stored), ("no index", &unindexed)] {
+            let err = Ttr3Reader::new(Cursor::new(bytes.clone())).err().expect(label);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{label}: {err}");
         }
-        w.finish().unwrap();
-        buf
+        let registry = crate::CodecRegistry::standard();
+        let err = registry.detect_prefix(&v2, None).err().expect("v2 magic is unclaimed");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The writer accepts the one native byte and nothing else.
+        for byte in [0u8, 1, TTR3_INDEX_FLAG, 2 | TTR3_INDEX_FLAG, 0xFF] {
+            let err = Ttr3Writer::new(Vec::new(), "x", "X", byte).err().expect("rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "byte {byte:#04x}");
+        }
+        assert!(Ttr3Writer::new(Vec::new(), "x", "X", NATIVE).is_ok());
     }
 
     #[test]
-    fn indexed_container_round_trips_and_reports_the_index() {
+    fn container_reports_its_scheme_and_index() {
         let t = by_name("INT02", Scale::Tiny).unwrap().generate();
-        let buf = encode_indexed(&t, 256);
-        let mut r = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
+        let (buf, _) = encode_blocks(&t, 256);
+        let r = Ttr3Reader::new(Cursor::new(buf)).unwrap();
         let info = r.container_info().unwrap();
         // The flag is masked out of the reported scheme byte.
         assert_eq!(info.scheme_id, 1);
         assert_eq!(info.scheme, "lz");
         assert!(info.blocks > 1);
-        assert_eq!(info.index_bytes, Some(8 + 4 + 16 * info.blocks));
-        let mut events = Vec::new();
-        while let Some(e) = r.next_event() {
-            events.push(e);
-        }
-        crate::decoder::finish(&r).unwrap();
-        assert_eq!(events, t.events);
-        // An index-less encoding reports None and decodes identically.
-        let plain = Ttr3Reader::new(Cursor::new(encode_vec(&t, 1))).unwrap();
-        assert_eq!(plain.container_info().unwrap().index_bytes, None);
+        assert_eq!(info.index_bytes, 8 + 4 + 16 * info.blocks);
     }
 
     #[test]
     fn seek_skip_lands_exactly_where_decode_discard_does() {
         let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
         let total = t.events.len() as u64;
-        let indexed = encode_indexed(&t, 200);
-        let plain = encode_vec(&t, 1);
+        let (buf, _) = encode_blocks(&t, 200);
+        // The reference walk discards events one `next_event` at a time,
+        // never touching the index.
+        let walk = |r: &mut Ttr3Reader<Cursor<Vec<u8>>>, n: u64| {
+            let mut k = 0;
+            while k < n && r.next_event().is_some() {
+                k += 1;
+            }
+            k
+        };
         // Offsets straddling block boundaries, plus the degenerate ends.
         for n in [0, 1, 7, 50, 51, 52, total / 2, total - 1, total, total + 10] {
-            let mut seeker = Ttr3Reader::new(Cursor::new(indexed.clone())).unwrap();
-            let mut walker = Ttr3Reader::new(Cursor::new(plain.clone())).unwrap();
-            assert_eq!(seeker.skip(n), walker.skip(n), "skip count at n={n}");
+            let mut seeker = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
+            let mut walker = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
+            assert_eq!(seeker.skip(n), walk(&mut walker, n), "skip count at n={n}");
             let rest: Vec<_> = std::iter::from_fn(|| seeker.next_event()).collect();
             let expect: Vec<_> = std::iter::from_fn(|| walker.next_event()).collect();
             assert!(seeker.decode_error().is_none(), "decode error at n={n}");
@@ -929,10 +1156,10 @@ mod tests {
             assert_eq!(rest.len() as u64, total.saturating_sub(n.min(total)));
         }
         // Repeated short skips interleaved with decoding also line up.
-        let mut seeker = Ttr3Reader::new(Cursor::new(indexed)).unwrap();
-        let mut walker = Ttr3Reader::new(Cursor::new(plain)).unwrap();
+        let mut seeker = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
+        let mut walker = Ttr3Reader::new(Cursor::new(buf)).unwrap();
         loop {
-            assert_eq!(seeker.skip(37), walker.skip(37));
+            assert_eq!(seeker.skip(37), walk(&mut walker, 37));
             let (a, b) = (seeker.next_event(), walker.next_event());
             assert_eq!(a, b);
             if a.is_none() {
@@ -945,10 +1172,9 @@ mod tests {
     #[test]
     fn corrupt_or_truncated_index_fails_at_open() {
         let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-        let good = encode_indexed(&t, 256);
-        assert!(Ttr3Reader::new(Cursor::new(good.clone())).is_ok());
+        let (good, _) = encode_blocks(&t, 256);
         let r = Ttr3Reader::new(Cursor::new(good.clone())).unwrap();
-        let index_bytes = r.info.index_bytes.unwrap() as usize;
+        let index_bytes = r.info.index_bytes as usize;
         drop(r);
         // The index section sits right before the branch table; locate it
         // through the trailer's table offset.
@@ -967,9 +1193,9 @@ mod tests {
                 "corrupt index byte at {at} went unnoticed"
             );
         }
-        // A flagged header whose index section was cut out entirely (with
-        // the trailer's table offset re-pointed so the rest still lines
-        // up): the promised section is missing, so the open fails.
+        // A file whose index section was cut out entirely (with the
+        // trailer's table offset re-pointed so the rest still lines up):
+        // the section is missing, so the open fails.
         let mut gutted = Vec::new();
         gutted.extend_from_slice(&good[..index_start]);
         gutted.extend_from_slice(&good[table_offset..]);

@@ -1,6 +1,6 @@
 //! LEB128 variable-length integers and ZigZag signed mapping.
 //!
-//! The `.ttr` event stream is dominated by small deltas (branch-table
+//! The `.ttr3` event stream is dominated by small deltas (branch-table
 //! indices of neighbouring events, target offsets of a few bytes), so
 //! LEB128 packs the common case into one byte while still representing the
 //! full `u64` range. Signed deltas go through ZigZag first so that small

@@ -63,7 +63,7 @@ fn maybe_write_fixtures() -> bool {
     }
     std::fs::create_dir_all(data_dir()).unwrap();
     let t = fixture_trace();
-    for name in ["ttr", "cbp", "csv"] {
+    for name in ["ttr3", "cbp", "csv"] {
         std::fs::write(fixture_path(name), encode_with(name, &t)).unwrap();
     }
     true
@@ -82,14 +82,14 @@ fn decode_fixture(codec_name: &str) -> Trace {
 }
 
 #[test]
-fn ttr_fixture_decodes_and_reencodes_byte_identically() {
+fn ttr3_fixture_decodes_and_reencodes_byte_identically() {
     if maybe_write_fixtures() {
         return;
     }
     let expected = fixture_trace();
-    assert_eq!(decode_fixture("ttr"), expected);
-    let on_disk = std::fs::read(fixture_path("ttr")).unwrap();
-    assert_eq!(encode_with("ttr", &expected), on_disk, "the .ttr byte layout changed");
+    assert_eq!(decode_fixture("ttr3"), expected);
+    let on_disk = std::fs::read(fixture_path("ttr3")).unwrap();
+    assert_eq!(encode_with("ttr3", &expected), on_disk, "the .ttr3 byte layout changed");
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn fixtures_are_present_in_the_repo() {
     if maybe_write_fixtures() {
         return;
     }
-    for name in ["ttr", "cbp", "csv"] {
+    for name in ["ttr3", "cbp", "csv"] {
         let p = fixture_path(name);
         assert!(p.exists(), "missing checked-in fixture {}", p.display());
     }

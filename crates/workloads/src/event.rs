@@ -141,9 +141,9 @@ pub trait EventSource {
     /// Advances the stream past the next `n` events, returning how many
     /// were actually skipped (fewer only at end of stream). The default
     /// decodes and discards one event at a time, so every source —
-    /// synthetic, CSV, v2 — supports positioning for sampled simulation;
+    /// synthetic, CSV, CBP — supports positioning for sampled simulation;
     /// sources with random-access backing ([`TraceStream`], the indexed
-    /// `.ttr` v3 reader) override it with an O(1) seek.
+    /// `.ttr3` reader) override it with a seek.
     fn skip(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
         while skipped < n && self.next_event().is_some() {
